@@ -8,7 +8,6 @@
 #include <chrono>
 
 #include "baselines/donar.hpp"
-#include "common/thread_pool.hpp"
 #include "core/cdpsm.hpp"
 #include "core/lddm.hpp"
 #include "core/scheduler.hpp"
@@ -92,73 +91,6 @@ BENCHMARK(BM_Scaling_Donar)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1)
     ->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-// ---- parallel solve engine sweep (SystemConfig::solver_threads) ----
-//
-// Fixed-round wall-clock timing of the two iterative engines at the largest
-// instance, at 1, 2, and all-hardware lanes.  Rounds are pinned (tolerance
-// 0 disables early convergence) so every timing covers identical work; the
-// engine guarantees the *results* are bitwise identical at every lane
-// count, so this isolates pure wall-clock scaling.
-
-double cdpsm_wall_ms(const optim::Problem& problem, std::size_t threads,
-                     std::size_t rounds) {
-  core::CdpsmOptions options;
-  options.max_rounds = rounds;
-  options.tolerance = 0.0;
-  options.threads = threads;
-  core::CdpsmEngine engine{problem, options};
-  const auto start = std::chrono::steady_clock::now();
-  engine.run();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-double lddm_wall_ms(const optim::Problem& problem, std::size_t threads,
-                    std::size_t rounds) {
-  core::LddmOptions options;
-  options.max_rounds = rounds;
-  options.tolerance = 0.0;
-  options.threads = threads;
-  core::LddmEngine engine{problem, options};
-  const auto start = std::chrono::steady_clock::now();
-  engine.run();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-void thread_sweep() {
-  constexpr std::size_t kReplicas = 32;  // the largest BM_Scaling size
-  constexpr std::size_t kCdpsmRounds = 8;
-  constexpr std::size_t kLddmRounds = 120;
-  const auto problem = instance(kReplicas);
-  const std::size_t hw = common::ThreadPool::hardware();
-  bench::record_metric("threads_hw", static_cast<double>(hw), "threads");
-
-  std::printf("parallel solve engine, %zu replicas / %zu clients "
-              "(hardware threads: %zu):\n",
-              kReplicas, 2 * kReplicas, hw);
-  Table table({"engine", "t=1 ms", "t=2 ms", "t=hw ms", "speedup hw"});
-  const auto sweep = [&](const char* name, auto&& wall_ms,
-                         std::size_t rounds) {
-    const double t1 = wall_ms(problem, 1, rounds);
-    const double t2 = wall_ms(problem, 2, rounds);
-    const double thw = wall_ms(problem, hw, rounds);
-    const double speedup = thw > 0.0 ? t1 / thw : 1.0;
-    const std::string size = std::to_string(kReplicas);
-    bench::record_metric("solve_wall_ms/" + size + "/t1", t1, "ms", name);
-    bench::record_metric("solve_wall_ms/" + size + "/t2", t2, "ms", name);
-    bench::record_metric("solve_wall_ms/" + size + "/thw", thw, "ms", name);
-    bench::record_metric("speedup_hw/" + size, speedup, "x", name);
-    table.add_row({name, Table::num(t1, 1), Table::num(t2, 1),
-                   Table::num(thw, 1), Table::num(speedup, 2)});
-  };
-  sweep("cdpsm", cdpsm_wall_ms, kCdpsmRounds);
-  sweep("lddm", lddm_wall_ms, kLddmRounds);
-  std::printf("%s\n", table.to_string().c_str());
-}
 
 // ---- client-count sweep (SystemConfig::representation) ----
 //
@@ -268,7 +200,6 @@ int main(int argc, char** argv) {
                      "per-round coordination bytes & wall time vs system "
                      "size (LDDM O(CN) / CDPSM O(CN^3) / DONAR O(CNM))");
   harness.run_benchmarks();
-  thread_sweep();
   client_sweep();
   return 0;
 }

@@ -39,14 +39,6 @@ inline std::shared_ptr<telemetry::Telemetry>& shared_telemetry() {
   return instance;
 }
 
-/// Solver thread count for benches that honor --threads=<n> (0 = all
-/// hardware threads).  Defaults to 1 — the serial path — so bench output
-/// stays comparable run to run unless a sweep is requested explicitly.
-inline std::size_t& solver_threads() {
-  static std::size_t threads = 1;
-  return threads;
-}
-
 /// Kernel dispatch for benches that honor --simd=scalar|auto.  Defaults to
 /// kScalar — the byte-pinned golden path — so bench numbers stay
 /// bit-comparable run to run unless vectorization is requested explicitly.
@@ -110,7 +102,6 @@ class Harness {
     banner(figure, description);
     constexpr std::string_view kTelemetryFlag = "--telemetry-out=";
     constexpr std::string_view kJsonFlag = "--json-out";
-    constexpr std::string_view kThreadsFlag = "--threads=";
     constexpr std::string_view kSimdFlag = "--simd=";
     constexpr std::string_view kTransportFlag = "--transport=";
     for (int i = 1; i < argc; ++i) {
@@ -147,10 +138,6 @@ class Harness {
       }
       if (arg.substr(0, kTelemetryFlag.size()) == kTelemetryFlag) {
         telemetry_path_ = std::string(arg.substr(kTelemetryFlag.size()));
-        strip = true;
-      } else if (arg.substr(0, kThreadsFlag.size()) == kThreadsFlag) {
-        solver_threads() = static_cast<std::size_t>(
-            std::strtoull(arg.data() + kThreadsFlag.size(), nullptr, 10));
         strip = true;
       } else if (arg.substr(0, kSimdFlag.size()) == kSimdFlag) {
         try {

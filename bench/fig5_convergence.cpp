@@ -18,7 +18,6 @@
 // (its rounds cost O(|C|·|N|) vs CDPSM's O(|C|·|N|³)).
 #include "bench_util.hpp"
 
-#include "common/thread_pool.hpp"
 #include "core/admm.hpp"
 #include "core/cdpsm.hpp"
 #include "core/lddm.hpp"
@@ -163,51 +162,6 @@ int main(int argc, char** argv) {
   report("LDDM", "lddm", g_data.lddm);
   report("ADMM", "admm", g_data.admm);
   edr::bench::record_metric("optimum", g_data.optimum, "cents", "central");
-
-  {
-    // Thread-count sweep: rerun both engines at 1, 2, --threads (when
-    // given), and all-hardware lanes; the deterministic parallel solve
-    // engine must land on bitwise-identical solutions.  Only the verdict is
-    // printed (no timings) so this output stays byte-stable run to run for
-    // the telemetry-overhead smoke in scripts/check.sh.
-    const auto problem = fig5_instance();
-    const auto cdpsm_at = [&](std::size_t threads) {
-      core::CdpsmOptions options;
-      options.threads = threads;
-      options.simd = edr::bench::simd_mode();
-      core::CdpsmEngine engine{problem, options};
-      engine.run();
-      return engine.solution();
-    };
-    const auto lddm_at = [&](std::size_t threads) {
-      auto options = lddm_options();
-      options.threads = threads;
-      core::LddmEngine engine{problem, options};
-      engine.run();
-      return engine.solution();
-    };
-    const auto admm_at = [&](std::size_t threads) {
-      core::AdmmOptions options;
-      options.threads = threads;
-      options.simd = edr::bench::simd_mode();
-      core::AdmmEngine engine{problem, options};
-      engine.run();
-      return engine.solution();
-    };
-    const Matrix cdpsm_serial = cdpsm_at(1);
-    const Matrix lddm_serial = lddm_at(1);
-    const Matrix admm_serial = admm_at(1);
-    bool identical = true;
-    for (const std::size_t threads :
-         {std::size_t{2}, common::ThreadPool::hardware(),
-          common::ThreadPool::resolve(edr::bench::solver_threads())})
-      identical = identical && cdpsm_at(threads) == cdpsm_serial &&
-                  lddm_at(threads) == lddm_serial &&
-                  admm_at(threads) == admm_serial;
-    std::printf("thread sweep (1 / 2 / hardware): solutions %s\n",
-                identical ? "bit-identical" : "DIVERGED");
-    edr::bench::record_metric("mt_bit_identical", identical ? 1.0 : 0.0);
-  }
 
   if (harness.telemetry_enabled()) {
     // A short end-to-end run so the exported trace also carries the runtime

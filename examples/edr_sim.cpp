@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
   std::uint64_t clients = 8;
   std::uint64_t seed = 7;
   std::uint64_t trace_seed = 42;
-  std::uint64_t threads = 1;
   double fail_at = -1.0, recover_at = -1.0;
   std::int64_t fail_replica = -1;
   bool json = false;
@@ -171,10 +170,6 @@ int main(int argc, char** argv) {
   parser.add_option("clients", "number of clients", &clients);
   parser.add_option("seed", "system seed (latencies etc.)", &seed);
   parser.add_option("trace-seed", "workload seed", &trace_seed);
-  parser.add_option("threads",
-                    "solver worker threads (0 = all hardware threads); any "
-                    "value gives bit-identical results",
-                    &threads);
   parser.add_option("fail-replica", "replica to crash (-1 = none)",
                     &fail_replica);
   parser.add_option("fail-at", "crash time in seconds", &fail_at);
@@ -275,9 +270,7 @@ int main(int argc, char** argv) {
     // The live runtime is a different execution substrate; simulator-only
     // flags are rejected loudly instead of silently ignored.
     const char* clash = nullptr;
-    if (threads != 1)
-      clash = "--threads (solver-thread sweeps are sim-only)";
-    else if (fail_replica >= 0 || fail_at >= 0.0 || recover_at >= 0.0)
+    if (fail_replica >= 0 || fail_at >= 0.0 || recover_at >= 0.0)
       clash = "--fail-replica/--fail-at/--recover-at (live faults are "
               "injected by edr_live --kill-epoch or bench/chaos_suite)";
     else if (traces)
@@ -363,7 +356,6 @@ int main(int argc, char** argv) {
     }
     cfg.num_clients = clients;
     cfg.record_traces = traces;
-    cfg.solver_threads = threads;
     cfg.representation = storage;
     cfg.simd = simd_mode;
     if (slo_ms > 0.0) watch = true;

@@ -35,22 +35,22 @@ ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
 echo
 echo "== thread sanitizer build (build-tsan/, -fsanitize=thread) =="
-# Only the tests that actually exercise concurrency: the threaded LDDM
-# harness (real solver threads over the in-process transport), the mailbox
-# transport itself, the atomic metrics registry, the fork-join ThreadPool,
-# the parallel projection sweeps, and the golden-equivalence sweep that runs
-# every backend at solver_threads ∈ {1, 2, hardware}. The rest of the suite
-# is single-threaded and already covered by the asan/ubsan tree above.
-# Simd covers the runtime-dispatched kernels (scalar + widest-ISA bodies);
-# Admm covers the ADMM engine including its parallel x-update sweep.
-# Scenario covers the dynamic-world suite end to end (timed events through
-# the full pipeline, including the solver-thread pool).
+# Only the tests that actually exercise concurrency: the mailbox transport,
+# the atomic metrics registry, and an in-process LocalCluster running every
+# backend with one replica per thread
+# (LiveCluster.AllBackendsCompleteOverInproc). Replica threads are the only
+# solver parallelism, and they are why the projection scratch in
+# optim/projection.cpp is thread_local; that case is its gate. The solver
+# suites (SparseProjection, SparseEquivalence, GoldenEquivalence, Simd,
+# Admm, Scenario) are serial; they run here so the code the replica threads
+# execute is also seen under tsan instrumentation on its own. The rest of
+# the suite is covered by the asan/ubsan tree.
 cmake -B build-tsan -S . -DEDR_SANITIZE=tsan >/dev/null
 cmake --build build-tsan -j "$jobs" \
   --target test_integration test_telemetry test_net test_common test_optim \
-           test_core
+           test_core test_runtime
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'ThreadedLddm|AtomicModeCountsAcrossThreads|Mailbox|InprocTransport|ThreadPool|ParallelProjection|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
+  -R 'AtomicModeCountsAcrossThreads|Mailbox|InprocTransport|LiveCluster.AllBackendsCompleteOverInproc|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
 
 echo
 echo "== telemetry overhead smoke (fig5_convergence, telemetry disabled) =="

@@ -69,16 +69,6 @@ AdmmEngine::AdmmEngine(const optim::Problem& problem, AdmmOptions options)
   }
 }
 
-common::ThreadPool* AdmmEngine::pool() const {
-  if (external_pool_ != nullptr)
-    return external_pool_->lanes() > 1 ? external_pool_ : nullptr;
-  const std::size_t lanes = common::ThreadPool::resolve(options_.threads);
-  if (lanes <= 1) return nullptr;
-  if (owned_pool_ == nullptr)
-    owned_pool_ = std::make_unique<common::ThreadPool>(lanes);
-  return owned_pool_.get();
-}
-
 void AdmmEngine::set_state(const Matrix& z, const Matrix& u) {
   if (sparse_)
     throw std::logic_error("AdmmEngine::set_state: dense representation only");
@@ -99,7 +89,7 @@ void AdmmEngine::set_state(const Matrix& z, const Matrix& u) {
         z_(c, n) = 0.0;
         u_(c, n) = 0.0;
       }
-  optim::project_demand_set(*work_, z_, nullptr, options_.simd);
+  optim::project_demand_set(*work_, z_, options_.simd);
 }
 
 void AdmmEngine::solve_replica(std::size_t n) {
@@ -136,23 +126,14 @@ AdmmRoundStats AdmmEngine::round() {
 
   {
     telemetry::ScopedSpan span(*tracer_, "admm.local_solves", "solver");
-    // Per-replica x-update, one static block of replicas per lane.  Every
-    // lane reads the shared Z/U and writes only its own column of X (its
-    // own scratch, its own scatter targets) — disjoint writes, so the
-    // result is bitwise identical for every lane count.
-    const auto solve_block = [this](std::size_t /*lane*/, std::size_t begin,
-                                    std::size_t end) {
-      for (std::size_t n = begin; n < end; ++n) {
-        if (sparse_)
-          solve_replica_sparse(n);
-        else
-          solve_replica(n);
-      }
-    };
-    if (common::ThreadPool* p = pool(); p != nullptr)
-      p->for_blocks(replicas, solve_block);
-    else
-      solve_block(0, 0, replicas);
+    // Per-replica x-update: each replica reads the shared Z/U and writes
+    // only its own column of X.
+    for (std::size_t n = 0; n < replicas; ++n) {
+      if (sparse_)
+        solve_replica_sparse(n);
+      else
+        solve_replica(n);
+    }
   }
 
   telemetry::ScopedSpan consensus_span(*tracer_, "admm.consensus_update",
@@ -165,7 +146,7 @@ AdmmRoundStats AdmmEngine::round() {
     const std::span<const double> x_values = sparse_x_.values();
     std::copy(x_values.begin(), x_values.end(), z_values.begin());
     common::simd::accumulate(options_.simd, z_values, sparse_u_.values());
-    optim::project_demand_set(*work_, sparse_z_, pool(), options_.simd);
+    optim::project_demand_set(*work_, sparse_z_, options_.simd);
     common::simd::accumulate(options_.simd, sparse_u_.values(), x_values);
     common::simd::axpy(options_.simd, sparse_u_.values(), -1.0, z_values);
     primal = sparse_x_.distance(sparse_z_, options_.simd);
@@ -174,7 +155,7 @@ AdmmRoundStats AdmmEngine::round() {
     z_prev_ = z_;
     z_ = x_;
     z_.axpy(1.0, u_, options_.simd);
-    optim::project_demand_set(*work_, z_, pool(), options_.simd);
+    optim::project_demand_set(*work_, z_, options_.simd);
     u_.axpy(1.0, x_, options_.simd);
     u_.axpy(-1.0, z_, options_.simd);
     primal = x_.distance(z_, options_.simd);
@@ -324,7 +305,6 @@ void AdmmEngine::solution_into(Matrix& out) const {
   // capacity violation so the reported point is exactly feasible.
   out = z_;
   optim::DykstraOptions dykstra;
-  dykstra.pool = pool();
   dykstra.simd = options_.simd;
   optim::project_feasible(*problem_, out, dykstra);
 }
@@ -334,7 +314,6 @@ void AdmmEngine::solution_into_sparse(common::SparseAllocation& out) const {
   const std::span<const double> z_values = sparse_z_.values();
   std::copy(z_values.begin(), z_values.end(), out.values().begin());
   optim::DykstraOptions dykstra;
-  dykstra.pool = pool();
   dykstra.simd = options_.simd;
   optim::project_feasible(*work_, out, dykstra);
 }

@@ -33,9 +33,8 @@
 // rounds.
 //
 // The engine mirrors CdpsmEngine/LddmEngine: same representation knobs
-// (dense golden path, sparse, aggregated), same deterministic parallel
-// round contract (static block partitioning, ordered reductions), same
-// telemetry and observability surface.
+// (dense golden path, sparse, aggregated), same serial round with a
+// Jacobi snapshot, same telemetry and observability surface.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +46,6 @@
 #include "common/matrix.hpp"
 #include "common/simd.hpp"
 #include "common/sparse.hpp"
-#include "common/thread_pool.hpp"
 #include "core/aggregation.hpp"
 #include "core/representation.hpp"
 #include "optim/convergence.hpp"
@@ -74,11 +72,6 @@ struct AdmmOptions {
   /// stay below tolerance × demand scale for `patience` consecutive rounds.
   double tolerance = 1e-5;
   std::size_t patience = 3;
-  /// Worker lanes for the per-replica x-update and the recovery projection
-  /// (0 = all hardware threads).  1 — the default — is the exact serial
-  /// path; every other value produces bitwise identical results (static
-  /// block partitioning, disjoint column writes, ordered reductions).
-  std::size_t threads = 1;
   /// Iterate storage (see core/representation.hpp).  kDense is the golden
   /// path; kSparse/kAggregated keep X, Z, U on the feasible pairs only and
   /// run the maskless subproblem on the compact columns.
@@ -163,13 +156,6 @@ class AdmmEngine {
   /// (solver.admm.*) into `telemetry`.
   void attach_telemetry(telemetry::Telemetry& telemetry);
 
-  /// Use an externally owned pool for the parallel round instead of the
-  /// lazily created one implied by options().threads — the algorithm layer
-  /// shares one pool across the per-epoch engines so threads are spawned
-  /// once per run, not once per epoch.  `pool` must outlive the engine;
-  /// null reverts to the options-driven behavior.
-  void set_thread_pool(common::ThreadPool* pool) { external_pool_ = pool; }
-
   /// Collect AdmmReplicaStats during round() (off by default; the flight
   /// recorder path turns it on).
   void set_collect_replica_stats(bool collect) { collect_stats_ = collect; }
@@ -195,9 +181,6 @@ class AdmmEngine {
   void solve_replica_sparse(std::size_t n);
   void solution_into(Matrix& out) const;
   void solution_into_sparse(common::SparseAllocation& out) const;
-  /// The pool the parallel regions should use this round: the external one
-  /// when set, else a lazily built pool per options_.threads; null = serial.
-  [[nodiscard]] common::ThreadPool* pool() const;
 
   const optim::Problem* problem_;
   AdmmOptions options_;
@@ -209,8 +192,6 @@ class AdmmEngine {
   std::unique_ptr<ClientAggregation> aggregation_;
   std::unique_ptr<optim::Problem> aggregated_problem_;
   const optim::Problem* work_ = nullptr;
-  common::ThreadPool* external_pool_ = nullptr;
-  mutable std::unique_ptr<common::ThreadPool> owned_pool_;
   std::uint64_t messages_exchanged_ = 0;
   std::uint64_t bytes_exchanged_ = 0;
   telemetry::EventTracer* tracer_ = &telemetry::disabled_tracer();
@@ -241,7 +222,7 @@ class AdmmEngine {
   std::vector<std::vector<double>> prox_scratch_;
   std::vector<std::vector<double>> column_scratch_;
   // Shared all-zeros multiplier vector the x-update passes to the LDDM
-  // subproblem kernel (read-only across lanes).
+  // subproblem kernel (read-only).
   std::vector<double> zero_mu_;
   // Recovered solution double buffer for observability (same convention as
   // the other engines).

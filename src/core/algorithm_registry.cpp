@@ -16,7 +16,6 @@ AlgorithmRegistry& AlgorithmRegistry::instance() {
           "traffic only)",
           [](const SystemConfig& cfg) {
             auto options = cfg.lddm;
-            options.threads = cfg.solver_threads;
             options.representation = cfg.representation;
             options.simd = cfg.simd;
             return std::make_unique<LddmAlgorithm>(options, cfg.warm_start);
@@ -26,7 +25,6 @@ AlgorithmRegistry& AlgorithmRegistry::instance() {
           "replicas)",
           [](const SystemConfig& cfg) {
             auto options = cfg.cdpsm;
-            options.threads = cfg.solver_threads;
             options.representation = cfg.representation;
             options.simd = cfg.simd;
             return std::make_unique<CdpsmAlgorithm>(options);
@@ -36,7 +34,6 @@ AlgorithmRegistry& AlgorithmRegistry::instance() {
           "traffic)",
           [](const SystemConfig& cfg) {
             auto options = cfg.admm;
-            options.threads = cfg.solver_threads;
             options.representation = cfg.representation;
             options.simd = cfg.simd;
             return std::make_unique<AdmmAlgorithm>(options, cfg.warm_start);

@@ -30,17 +30,10 @@ bool observability_enabled(const EpochContext& ctx) {
          (ctx.telemetry->flight_recorder() != nullptr ||
           ctx.telemetry->monitor() != nullptr);
 }
-
-/// The algorithm-owned pool for a thread knob: null when the knob resolves
-/// to a single lane (the serial path needs no pool at all).
-std::unique_ptr<common::ThreadPool> make_solver_pool(std::size_t threads) {
-  const std::size_t lanes = common::ThreadPool::resolve(threads);
-  return lanes > 1 ? std::make_unique<common::ThreadPool>(lanes) : nullptr;
-}
 }  // namespace
 
 CdpsmAlgorithm::CdpsmAlgorithm(CdpsmOptions options)
-    : options_(options), pool_(make_solver_pool(options.threads)) {}
+    : options_(options) {}
 
 std::span<const MessageTypeInfo> CdpsmAlgorithm::message_types() const {
   return kCdpsmTypes;
@@ -61,7 +54,6 @@ double CdpsmAlgorithm::coordination_bytes(double clients,
 
 void CdpsmAlgorithm::begin_epoch(const EpochContext& ctx) {
   engine_ = std::make_unique<CdpsmEngine>(*ctx.problem, options_);
-  if (pool_) engine_->set_thread_pool(pool_.get());
   if (ctx.telemetry) engine_->attach_telemetry(*ctx.telemetry);
   engine_->set_collect_replica_stats(observability_enabled(ctx));
   last_round_ = {};
@@ -133,9 +125,7 @@ void CdpsmAlgorithm::abort_epoch() { engine_.reset(); }
 // ---------- LDDM ----------
 
 LddmAlgorithm::LddmAlgorithm(LddmOptions options, bool warm_start)
-    : options_(options),
-      warm_start_(warm_start),
-      pool_(make_solver_pool(options.threads)) {}
+    : options_(options), warm_start_(warm_start) {}
 
 std::span<const MessageTypeInfo> LddmAlgorithm::message_types() const {
   return kLddmTypes;
@@ -143,7 +133,6 @@ std::span<const MessageTypeInfo> LddmAlgorithm::message_types() const {
 
 void LddmAlgorithm::begin_epoch(const EpochContext& ctx) {
   engine_ = std::make_unique<LddmEngine>(*ctx.problem, options_);
-  if (pool_) engine_->set_thread_pool(pool_.get());
   if (ctx.telemetry) engine_->attach_telemetry(*ctx.telemetry);
   engine_->set_collect_replica_stats(observability_enabled(ctx));
   last_round_ = {};
@@ -281,9 +270,7 @@ void LddmAlgorithm::abort_epoch() { engine_.reset(); }
 // ---------- ADMM ----------
 
 AdmmAlgorithm::AdmmAlgorithm(AdmmOptions options, bool warm_start)
-    : options_(options),
-      warm_start_(warm_start),
-      pool_(make_solver_pool(options.threads)) {}
+    : options_(options), warm_start_(warm_start) {}
 
 std::span<const MessageTypeInfo> AdmmAlgorithm::message_types() const {
   return kAdmmTypes;
@@ -298,7 +285,6 @@ void AdmmAlgorithm::begin_epoch(const EpochContext& ctx) {
                     !warm_z_.empty();
   if (warm && warm_rho_ > 0.0) options.rho = warm_rho_;
   engine_ = std::make_unique<AdmmEngine>(*ctx.problem, options);
-  if (pool_) engine_->set_thread_pool(pool_.get());
   if (ctx.telemetry) engine_->attach_telemetry(*ctx.telemetry);
   engine_->set_collect_replica_stats(observability_enabled(ctx));
   last_round_ = {};

@@ -40,9 +40,6 @@ class CdpsmAlgorithm final : public DistributedAlgorithm {
 
  private:
   CdpsmOptions options_;
-  // Engines are recreated per epoch; the pool is owned here so worker
-  // threads are spawned once per run, not once per epoch (null = serial).
-  std::unique_ptr<common::ThreadPool> pool_;
   std::unique_ptr<CdpsmEngine> engine_;
   CdpsmRoundStats last_round_;
 };
@@ -74,9 +71,6 @@ class LddmAlgorithm final : public DistributedAlgorithm {
   LddmOptions options_;
   LddmRoundStats last_round_;
   bool warm_start_ = true;
-  // Engines are recreated per epoch; the pool is owned here so worker
-  // threads are spawned once per run, not once per epoch (null = serial).
-  std::unique_ptr<common::ThreadPool> pool_;
   std::unique_ptr<LddmEngine> engine_;
   std::vector<double> warm_mu_;  // duals carried across epochs
   Matrix warm_columns_;          // primal loads carried across epochs
@@ -111,9 +105,6 @@ class AdmmAlgorithm final : public DistributedAlgorithm {
   AdmmOptions options_;
   AdmmRoundStats last_round_;
   bool warm_start_ = true;
-  // Engines are recreated per epoch; the pool is owned here so worker
-  // threads are spawned once per run, not once per epoch (null = serial).
-  std::unique_ptr<common::ThreadPool> pool_;
   std::unique_ptr<AdmmEngine> engine_;
   Matrix warm_z_;  // consensus iterate carried across epochs
   Matrix warm_u_;  // scaled duals carried across epochs

@@ -12,8 +12,8 @@ namespace edr::core {
 namespace {
 
 /// Project one column onto {q ≥ 0, Σq ≤ B_n}, leaving other columns alone.
-/// Thread-local scratch: runs inside the per-replica parallel round, up to
-/// 200 times per projection, so it must not allocate.
+/// Thread-local scratch: runs up to 200 times per projection in every
+/// replica's step, so it must not allocate.
 void project_column_capacity(const optim::Problem& problem, std::size_t n,
                              Matrix& allocation, common::simd::Mode simd) {
   thread_local std::vector<double> column;
@@ -79,22 +79,11 @@ void CdpsmEngine::set_estimate(std::size_t n, Matrix estimate) {
   estimates_.at(n) = std::move(estimate);
 }
 
-common::ThreadPool* CdpsmEngine::pool() const {
-  if (external_pool_ != nullptr)
-    return external_pool_->lanes() > 1 ? external_pool_ : nullptr;
-  const std::size_t lanes = common::ThreadPool::resolve(options_.threads);
-  if (lanes <= 1) return nullptr;
-  if (owned_pool_ == nullptr)
-    owned_pool_ = std::make_unique<common::ThreadPool>(lanes);
-  return owned_pool_.get();
-}
-
 void CdpsmEngine::project_local(std::size_t n, Matrix& estimate) const {
   // Dykstra between the shared demand set and this replica's capacity
   // column — the projection onto X_n.  Thread-local scratch: this runs once
-  // per replica per round, inside a pool lane when the round is parallel,
-  // and must not re-allocate four |C|×|N| matrices each time.  The inner
-  // projections stay serial — the replica loop above already owns the lanes.
+  // per replica per round and must not re-allocate four |C|×|N| matrices
+  // each time.
   thread_local Matrix corr_demand;
   thread_local Matrix corr_capacity;
   thread_local Matrix previous;
@@ -105,7 +94,7 @@ void CdpsmEngine::project_local(std::size_t n, Matrix& estimate) const {
   for (std::size_t iter = 0; iter < 200; ++iter) {
     estimate.axpy(1.0, corr_demand, options_.simd);
     before = estimate;
-    optim::project_demand_set(*problem_, estimate, nullptr, options_.simd);
+    optim::project_demand_set(*problem_, estimate, options_.simd);
     corr_demand = before;
     corr_demand.axpy(-1.0, estimate, options_.simd);
 
@@ -120,7 +109,7 @@ void CdpsmEngine::project_local(std::size_t n, Matrix& estimate) const {
     if (change <= 1e-11) break;
   }
   // End on the demand set so row sums are exact.
-  optim::project_demand_set(*problem_, estimate, nullptr, options_.simd);
+  optim::project_demand_set(*problem_, estimate, options_.simd);
 }
 
 Matrix CdpsmEngine::step_replica(std::size_t n,
@@ -150,7 +139,7 @@ void CdpsmEngine::project_local_sparse(
   for (std::size_t iter = 0; iter < 200; ++iter) {
     common::simd::axpy(options_.simd, values, 1.0, corr_demand);
     std::copy(values.begin(), values.end(), before.begin());
-    optim::project_demand_set(*work_, estimate, nullptr, options_.simd);
+    optim::project_demand_set(*work_, estimate, options_.simd);
     corr_demand.assign(before.begin(), before.end());
     common::simd::axpy(options_.simd, corr_demand, -1.0, values);
 
@@ -166,7 +155,7 @@ void CdpsmEngine::project_local_sparse(
     if (change <= 1e-11) break;
   }
   // End on the demand set so row sums are exact.
-  optim::project_demand_set(*work_, estimate, nullptr, options_.simd);
+  optim::project_demand_set(*work_, estimate, options_.simd);
 }
 
 void CdpsmEngine::step_replica_into_sparse(
@@ -263,49 +252,31 @@ CdpsmRoundStats CdpsmEngine::round() {
   {
     telemetry::ScopedSpan span(*tracer_, "cdpsm.consensus_gradient",
                                "solver");
-    // Per-replica consensus+gradient+projection, one static block of
-    // replicas per lane.  Every lane reads the shared previous snapshot and
-    // writes only its own estimate — disjoint writes, so the result is
-    // bitwise identical for every lane count.
+    // Per-replica consensus+gradient+projection, Jacobi style: every
+    // replica steps against the previous round's snapshot of all estimates
+    // and writes only its own.
     if (sparse_) {
       sparse_previous_ = sparse_estimates_;  // copy-assign reuses scratch
-      const auto step_block = [this](std::size_t /*lane*/, std::size_t begin,
-                                     std::size_t end) {
-        for (std::size_t n = begin; n < end; ++n) {
-          step_replica_into_sparse(n, sparse_previous_, sparse_estimates_[n],
-                                   collect_stats_ ? &replica_stats_[n]
-                                                  : nullptr);
-          if (collect_stats_)
-            replica_stats_[n].load_delta =
-                replica_stats_[n].load - sparse_previous_[n].col_sum(n);
-        }
-      };
-      if (common::ThreadPool* p = pool(); p != nullptr)
-        p->for_blocks(replicas, step_block);
-      else
-        step_block(0, 0, replicas);
+      for (std::size_t n = 0; n < replicas; ++n) {
+        step_replica_into_sparse(n, sparse_previous_, sparse_estimates_[n],
+                                 collect_stats_ ? &replica_stats_[n]
+                                                : nullptr);
+        if (collect_stats_)
+          replica_stats_[n].load_delta =
+              replica_stats_[n].load - sparse_previous_[n].col_sum(n);
+      }
     } else {
       previous_estimates_ = estimates_;
-      const auto step_block = [this](std::size_t /*lane*/, std::size_t begin,
-                                     std::size_t end) {
-        for (std::size_t n = begin; n < end; ++n) {
-          step_replica_into(n, previous_estimates_, estimates_[n],
-                            collect_stats_ ? &replica_stats_[n] : nullptr);
-          if (collect_stats_)
-            replica_stats_[n].load_delta =
-                replica_stats_[n].load - previous_estimates_[n].col_sum(n);
-        }
-      };
-      if (common::ThreadPool* p = pool(); p != nullptr)
-        p->for_blocks(replicas, step_block);
-      else
-        step_block(0, 0, replicas);
+      for (std::size_t n = 0; n < replicas; ++n) {
+        step_replica_into(n, previous_estimates_, estimates_[n],
+                          collect_stats_ ? &replica_stats_[n] : nullptr);
+        if (collect_stats_)
+          replica_stats_[n].load_delta =
+              replica_stats_[n].load - previous_estimates_[n].col_sum(n);
+      }
     }
   }
 
-  // Reductions stay serial and in index order (part of the determinism
-  // contract; max() is order-insensitive but keeping one code path is
-  // simpler to reason about than proving each reduction safe).
   for (std::size_t n = 0; n < replicas; ++n) {
     stats.movement = std::max(
         stats.movement,
@@ -398,7 +369,6 @@ void CdpsmEngine::solution_into(Matrix& out) const {
   for (const Matrix& estimate : estimates_)
     out.axpy(weight, estimate, options_.simd);
   optim::DykstraOptions dykstra;
-  dykstra.pool = pool();
   dykstra.simd = options_.simd;
   optim::project_feasible(*problem_, out, dykstra);
 }
@@ -410,7 +380,6 @@ void CdpsmEngine::solution_into_sparse(common::SparseAllocation& out) const {
   for (const common::SparseAllocation& estimate : sparse_estimates_)
     out.axpy(weight, estimate, options_.simd);
   optim::DykstraOptions dykstra;
-  dykstra.pool = pool();
   dykstra.simd = options_.simd;
   optim::project_feasible(*work_, out, dykstra);
 }

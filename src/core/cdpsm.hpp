@@ -24,7 +24,6 @@
 
 #include "common/matrix.hpp"
 #include "common/sparse.hpp"
-#include "common/thread_pool.hpp"
 #include "core/aggregation.hpp"
 #include "core/representation.hpp"
 #include "optim/convergence.hpp"
@@ -50,11 +49,6 @@ struct CdpsmOptions {
   /// disagreement never reaches zero and is not a usable stop signal.
   double tolerance = 1e-5;
   std::size_t patience = 3;
-  /// Worker lanes for the per-replica round loop and the recovery
-  /// projection (0 = all hardware threads).  1 — the default — is the
-  /// exact historical serial path; every other value produces bitwise
-  /// identical results (static block partitioning, ordered reductions).
-  std::size_t threads = 1;
   /// Iterate storage (see core/representation.hpp).  kDense is the golden
   /// path, byte-identical to the historical behavior.  kSparse/kAggregated
   /// keep the estimates on the feasible pairs only; the recovered solution
@@ -145,13 +139,6 @@ class CdpsmEngine {
   /// (solver.cdpsm.*) into `telemetry`.
   void attach_telemetry(telemetry::Telemetry& telemetry);
 
-  /// Use an externally owned pool for the parallel round instead of the
-  /// lazily created one implied by options().threads — the algorithm layer
-  /// shares one pool across the per-epoch engines so threads are spawned
-  /// once per run, not once per epoch.  `pool` must outlive the engine;
-  /// null reverts to the options-driven behavior.
-  void set_thread_pool(common::ThreadPool* pool) { external_pool_ = pool; }
-
   /// Collect CdpsmReplicaStats during round() (off by default; the flight
   /// recorder path turns it on).
   void set_collect_replica_stats(bool collect) { collect_stats_ = collect; }
@@ -189,9 +176,6 @@ class CdpsmEngine {
   [[nodiscard]] std::size_t estimate_count() const {
     return sparse_ ? sparse_estimates_.size() : estimates_.size();
   }
-  /// The pool the parallel regions should use this round: the external one
-  /// when set, else a lazily built pool per options_.threads; null = serial.
-  [[nodiscard]] common::ThreadPool* pool() const;
 
   const optim::Problem* problem_;
   CdpsmOptions options_;
@@ -203,8 +187,6 @@ class CdpsmEngine {
   std::unique_ptr<ClientAggregation> aggregation_;
   std::unique_ptr<optim::Problem> aggregated_problem_;
   const optim::Problem* work_ = nullptr;
-  common::ThreadPool* external_pool_ = nullptr;
-  mutable std::unique_ptr<common::ThreadPool> owned_pool_;
   std::uint64_t messages_exchanged_ = 0;
   std::uint64_t bytes_exchanged_ = 0;
   telemetry::EventTracer* tracer_ = &telemetry::disabled_tracer();

@@ -77,16 +77,6 @@ LddmEngine::LddmEngine(const optim::Problem& problem, LddmOptions options)
   }
 }
 
-common::ThreadPool* LddmEngine::pool() const {
-  if (external_pool_ != nullptr)
-    return external_pool_->lanes() > 1 ? external_pool_ : nullptr;
-  const std::size_t lanes = common::ThreadPool::resolve(options_.threads);
-  if (lanes <= 1) return nullptr;
-  if (owned_pool_ == nullptr)
-    owned_pool_ = std::make_unique<common::ThreadPool>(lanes);
-  return owned_pool_.get();
-}
-
 std::vector<double> LddmEngine::solve_local(
     std::size_t n, std::span<const double> multipliers) {
   solve_local_inplace(n, multipliers);
@@ -162,23 +152,14 @@ LddmRoundStats LddmEngine::round() {
 
   {
     telemetry::ScopedSpan span(*tracer_, "lddm.local_solves", "solver");
-    // Per-replica subproblem solves, one static block of replicas per
-    // lane.  Each solve touches only replica-owned state (columns_[n],
-    // average_[n], solve_scratch_[n]) against the shared read-only μ —
-    // disjoint writes, so the result is bitwise identical for every lane
-    // count.
-    const auto solve_block = [this](std::size_t /*lane*/, std::size_t begin,
-                                    std::size_t end) {
-      for (std::size_t n = begin; n < end; ++n) solve_local_inplace(n, mu_);
-    };
-    if (common::ThreadPool* p = pool(); p != nullptr)
-      p->for_blocks(replicas, solve_block);
-    else
-      solve_block(0, 0, replicas);
+    // Per-replica subproblem solves against the shared read-only μ; each
+    // touches only replica-owned state (columns_[n], average_[n],
+    // solve_scratch_[n]).
+    for (std::size_t n = 0; n < replicas; ++n) solve_local_inplace(n, mu_);
   }
 
-  // Dual ascent and the reductions below stay serial and in index order —
-  // the summation order of served[c] is part of the determinism contract.
+  // Dual ascent.  The summation order of served[c] (replica-major, index
+  // order) is part of the pinned behaviour.
   telemetry::ScopedSpan dual_span(*tracer_, "lddm.dual_update", "solver");
   served_.assign(clients, 0.0);
   if (sparse_) {
@@ -344,7 +325,6 @@ void LddmEngine::solution_into_sparse(common::SparseAllocation& out) const {
       values[positions[i]] = average_[n][i];
   }
   optim::DykstraOptions dykstra;
-  dykstra.pool = pool();
   dykstra.simd = options_.simd;
   optim::project_feasible(*work_, out, dykstra);
 }
@@ -360,7 +340,6 @@ void LddmEngine::solution_into(Matrix& out) const {
   for (std::size_t n = 0; n < replicas; ++n)
     for (std::size_t c = 0; c < clients; ++c) out(c, n) = average_[n][c];
   optim::DykstraOptions dykstra;
-  dykstra.pool = pool();
   dykstra.simd = options_.simd;
   optim::project_feasible(*problem_, out, dykstra);
 }

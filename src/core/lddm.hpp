@@ -27,7 +27,6 @@
 
 #include "common/matrix.hpp"
 #include "common/sparse.hpp"
-#include "common/thread_pool.hpp"
 #include "core/aggregation.hpp"
 #include "core/representation.hpp"
 #include "optim/convergence.hpp"
@@ -61,11 +60,6 @@ struct LddmOptions {
   /// usable stopping signal.
   double tolerance = 1e-5;
   std::size_t patience = 5;
-  /// Worker lanes for the per-replica local solves and the recovery
-  /// projection (0 = all hardware threads).  1 — the default — is the
-  /// exact historical serial path; every other value produces bitwise
-  /// identical results (static block partitioning, ordered reductions).
-  std::size_t threads = 1;
   /// Iterate storage (see core/representation.hpp).  kDense is the golden
   /// path, byte-identical to the historical behavior.  kSparse/kAggregated
   /// keep the per-replica columns compact (one entry per feasible client)
@@ -168,13 +162,6 @@ class LddmEngine {
   /// gauge (solver.lddm.*) into `telemetry`.
   void attach_telemetry(telemetry::Telemetry& telemetry);
 
-  /// Use an externally owned pool for the parallel round instead of the
-  /// lazily created one implied by options().threads — the algorithm layer
-  /// shares one pool across the per-epoch engines so threads are spawned
-  /// once per run, not once per epoch.  `pool` must outlive the engine;
-  /// null reverts to the options-driven behavior.
-  void set_thread_pool(common::ThreadPool* pool) { external_pool_ = pool; }
-
   /// Collect LddmReplicaStats during round() (off by default; the flight
   /// recorder path turns it on).
   void set_collect_replica_stats(bool collect) { collect_stats_ = collect; }
@@ -201,9 +188,6 @@ class LddmEngine {
   /// Compact-path primal recovery: Cesàro average scattered into a sparse
   /// allocation over the work problem's pattern, then repaired.
   void solution_into_sparse(common::SparseAllocation& out) const;
-  /// The pool the parallel regions should use this round: the external one
-  /// when set, else a lazily built pool per options_.threads; null = serial.
-  [[nodiscard]] common::ThreadPool* pool() const;
 
   const optim::Problem* problem_;
   LddmOptions options_;
@@ -215,8 +199,6 @@ class LddmEngine {
   std::unique_ptr<ClientAggregation> aggregation_;
   std::unique_ptr<optim::Problem> aggregated_problem_;
   const optim::Problem* work_ = nullptr;
-  common::ThreadPool* external_pool_ = nullptr;
-  mutable std::unique_ptr<common::ThreadPool> owned_pool_;
   std::uint64_t messages_exchanged_ = 0;
   std::uint64_t bytes_exchanged_ = 0;
   telemetry::EventTracer* tracer_ = &telemetry::disabled_tracer();

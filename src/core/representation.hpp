@@ -13,9 +13,9 @@
 //                  allocation fans back out by demand share (exact — see
 //                  core/aggregation.hpp and DESIGN.md §12).
 //
-// The knob threads from SystemConfig through the algorithm registry into
-// CdpsmOptions/LddmOptions; backends without an iterative engine (central,
-// rr, donar) ignore it.
+// SystemConfig::representation reaches CdpsmOptions/LddmOptions/AdmmOptions
+// through the algorithm registry; backends without an iterative engine
+// (central, rr, donar) ignore it.
 #pragma once
 
 #include <optional>

@@ -112,12 +112,6 @@ struct SystemConfig {
                    .max_rounds = 300, .tolerance = 1e-4, .patience = 3};
   AdmmOptions admm{.rho = 1.0, .max_rounds = 300, .tolerance = 1e-4,
                    .patience = 3};
-  /// Worker threads for the deterministic parallel solve engine (projection
-  /// row/column sweeps, per-replica CDPSM/LDDM steps).  0 = all hardware
-  /// threads.  The default 1 is the exact historical serial path; results
-  /// are bitwise identical for every value (static block partitioning +
-  /// ordered reductions — pinned by the golden-equivalence digests).
-  std::size_t solver_threads = 1;
   /// Iterate storage for the iterative backends (lddm/cdpsm); central, rr
   /// and donar ignore it.  kDense is the byte-identical golden path;
   /// kSparse keeps the solver state on the latency-feasible pairs only;

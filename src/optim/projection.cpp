@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
 #include "optim/problem.hpp"
 
 namespace edr::optim {
@@ -35,8 +34,9 @@ double simplex_threshold(std::vector<double>& active, double target) {
 
 // Per-thread scratch for the projections below.  These run hundreds of
 // times per Dykstra sweep and per solver round, so they must not touch the
-// heap after warm-up; thread-local because the demand/capacity sweeps run
-// one lane per pool thread.  Each helper owns a distinct buffer, so the
+// heap after warm-up; thread-local because an in-process LocalCluster runs
+// one replica per thread, each solving concurrently in the same address
+// space.  Each helper owns a distinct buffer, so the
 // call chains here (project_demand_set → project_masked_simplex or
 // project_simplex_active, project_capacity_set → project_capped_nonneg →
 // project_simplex → project_simplex_active) never alias a buffer a caller
@@ -114,44 +114,27 @@ void project_capped_nonneg(std::span<double> values, double cap,
 }
 
 void project_demand_set(const Problem& problem, Matrix& allocation,
-                        common::ThreadPool* pool, common::simd::Mode simd) {
-  const auto rows = [&problem, &allocation, simd](std::size_t /*lane*/,
-                                                  std::size_t begin,
-                                                  std::size_t end) {
-    std::vector<double>& mask = row_mask_scratch();
-    mask.resize(problem.num_replicas());
-    for (std::size_t c = begin; c < end; ++c) {
-      for (std::size_t n = 0; n < problem.num_replicas(); ++n)
-        mask[n] = problem.feasible_pair(c, n) ? 1.0 : 0.0;
-      project_masked_simplex(allocation.row(c), mask, problem.demand(c),
-                             simd);
-    }
-  };
-  if (pool != nullptr && pool->lanes() > 1)
-    pool->for_blocks(problem.num_clients(), rows);
-  else
-    rows(0, 0, problem.num_clients());
+                        common::simd::Mode simd) {
+  std::vector<double>& mask = row_mask_scratch();
+  mask.resize(problem.num_replicas());
+  for (std::size_t c = 0; c < problem.num_clients(); ++c) {
+    for (std::size_t n = 0; n < problem.num_replicas(); ++n)
+      mask[n] = problem.feasible_pair(c, n) ? 1.0 : 0.0;
+    project_masked_simplex(allocation.row(c), mask, problem.demand(c), simd);
+  }
 }
 
 void project_capacity_set(const Problem& problem, Matrix& allocation,
-                          common::ThreadPool* pool, common::simd::Mode simd) {
-  const auto cols = [&problem, &allocation, simd](std::size_t /*lane*/,
-                                                  std::size_t begin,
-                                                  std::size_t end) {
-    std::vector<double>& column = column_scratch();
-    column.resize(problem.num_clients());
-    for (std::size_t n = begin; n < end; ++n) {
-      for (std::size_t c = 0; c < problem.num_clients(); ++c)
-        column[c] = allocation(c, n);
-      project_capped_nonneg(column, problem.replica(n).bandwidth, simd);
-      for (std::size_t c = 0; c < problem.num_clients(); ++c)
-        allocation(c, n) = column[c];
-    }
-  };
-  if (pool != nullptr && pool->lanes() > 1)
-    pool->for_blocks(problem.num_replicas(), cols);
-  else
-    cols(0, 0, problem.num_replicas());
+                          common::simd::Mode simd) {
+  std::vector<double>& column = column_scratch();
+  column.resize(problem.num_clients());
+  for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
+    for (std::size_t c = 0; c < problem.num_clients(); ++c)
+      column[c] = allocation(c, n);
+    project_capped_nonneg(column, problem.replica(n).bandwidth, simd);
+    for (std::size_t c = 0; c < problem.num_clients(); ++c)
+      allocation(c, n) = column[c];
+  }
 }
 
 DykstraResult project_feasible(const Problem& problem, Matrix& allocation,
@@ -173,14 +156,14 @@ DykstraResult project_feasible(const Problem& problem, Matrix& allocation,
     // Demand (simplex) half-step.
     allocation.axpy(1.0, correction_demand, options.simd);
     before = allocation;
-    project_demand_set(problem, allocation, options.pool, options.simd);
+    project_demand_set(problem, allocation, options.simd);
     correction_demand = before;
     correction_demand.axpy(-1.0, allocation, options.simd);
 
     // Capacity half-step.
     allocation.axpy(1.0, correction_capacity, options.simd);
     before = allocation;
-    project_capacity_set(problem, allocation, options.pool, options.simd);
+    project_capacity_set(problem, allocation, options.simd);
     correction_capacity = before;
     correction_capacity.axpy(-1.0, allocation, options.simd);
 
@@ -201,7 +184,7 @@ DykstraResult project_feasible(const Problem& problem, Matrix& allocation,
   // sweep converged, any capacity violation this re-introduces is below
   // tolerance; when the iteration cap was hit, it can be arbitrary — report
   // it instead of masking it.
-  project_demand_set(problem, allocation, options.pool, options.simd);
+  project_demand_set(problem, allocation, options.simd);
   if (!result.converged)
     result.capacity_residual =
         check_feasibility(problem, allocation).max_capacity_violation;
@@ -210,44 +193,28 @@ DykstraResult project_feasible(const Problem& problem, Matrix& allocation,
 
 void project_demand_set(const Problem& problem,
                         common::SparseAllocation& allocation,
-                        common::ThreadPool* pool, common::simd::Mode simd) {
+                        common::simd::Mode simd) {
   assert(allocation.pattern_ptr().get() == problem.sparsity().get());
-  const auto rows = [&problem, &allocation, simd](std::size_t /*lane*/,
-                                                  std::size_t begin,
-                                                  std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c)
-      project_simplex_active(allocation.row(c), problem.demand(c), simd);
-  };
-  if (pool != nullptr && pool->lanes() > 1)
-    pool->for_blocks(problem.num_clients(), rows);
-  else
-    rows(0, 0, problem.num_clients());
+  for (std::size_t c = 0; c < problem.num_clients(); ++c)
+    project_simplex_active(allocation.row(c), problem.demand(c), simd);
 }
 
 void project_capacity_set(const Problem& problem,
                           common::SparseAllocation& allocation,
-                          common::ThreadPool* pool, common::simd::Mode simd) {
+                          common::simd::Mode simd) {
   assert(allocation.pattern_ptr().get() == problem.sparsity().get());
   const common::SparsityPattern& pattern = allocation.pattern();
-  const auto cols = [&problem, &allocation, &pattern,
-                     simd](std::size_t /*lane*/, std::size_t begin,
-                           std::size_t end) {
-    std::vector<double>& column = column_scratch();
-    const std::span<double> values = allocation.values();
-    for (std::size_t n = begin; n < end; ++n) {
-      const auto positions = pattern.col_positions(n);
-      column.resize(positions.size());
-      for (std::size_t i = 0; i < positions.size(); ++i)
-        column[i] = values[positions[i]];
-      project_capped_nonneg(column, problem.replica(n).bandwidth, simd);
-      for (std::size_t i = 0; i < positions.size(); ++i)
-        values[positions[i]] = column[i];
-    }
-  };
-  if (pool != nullptr && pool->lanes() > 1)
-    pool->for_blocks(problem.num_replicas(), cols);
-  else
-    cols(0, 0, problem.num_replicas());
+  std::vector<double>& column = column_scratch();
+  const std::span<double> values = allocation.values();
+  for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
+    const auto positions = pattern.col_positions(n);
+    column.resize(positions.size());
+    for (std::size_t i = 0; i < positions.size(); ++i)
+      column[i] = values[positions[i]];
+    project_capped_nonneg(column, problem.replica(n).bandwidth, simd);
+    for (std::size_t i = 0; i < positions.size(); ++i)
+      values[positions[i]] = column[i];
+  }
 }
 
 DykstraResult project_feasible(const Problem& problem,
@@ -271,14 +238,14 @@ DykstraResult project_feasible(const Problem& problem,
     // Demand (simplex) half-step.
     common::simd::axpy(options.simd, values, 1.0, correction_demand);
     std::copy(values.begin(), values.end(), before.begin());
-    project_demand_set(problem, allocation, options.pool, options.simd);
+    project_demand_set(problem, allocation, options.simd);
     correction_demand.assign(before.begin(), before.end());
     common::simd::axpy(options.simd, correction_demand, -1.0, values);
 
     // Capacity half-step.
     common::simd::axpy(options.simd, values, 1.0, correction_capacity);
     std::copy(values.begin(), values.end(), before.begin());
-    project_capacity_set(problem, allocation, options.pool, options.simd);
+    project_capacity_set(problem, allocation, options.simd);
     correction_capacity.assign(before.begin(), before.end());
     common::simd::axpy(options.simd, correction_capacity, -1.0, values);
 
@@ -293,7 +260,7 @@ DykstraResult project_feasible(const Problem& problem,
       }
     }
   }
-  project_demand_set(problem, allocation, options.pool, options.simd);
+  project_demand_set(problem, allocation, options.simd);
   if (!result.converged)
     result.capacity_residual =
         check_feasibility(problem, allocation).max_capacity_violation;

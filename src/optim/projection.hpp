@@ -10,13 +10,6 @@
 // Both factor projections are exact and O(k log k); Dykstra's algorithm
 // combines them into the projection onto A ∩ B, which both CDPSM's
 // projection step and the centralized reference solver rely on.
-//
-// Because A and B are products over disjoint rows / columns, their factor
-// projections are embarrassingly parallel: pass a common::ThreadPool and the
-// client rows (demand set) / replica columns (capacity set) are processed in
-// static contiguous blocks, one block per lane.  Each row/column projection
-// writes only its own slice, so the result is bitwise identical to the
-// serial sweep for every lane count (see DESIGN.md §10).
 #pragma once
 
 #include <cstddef>
@@ -26,10 +19,6 @@
 #include "common/matrix.hpp"
 #include "common/simd.hpp"
 #include "common/sparse.hpp"
-
-namespace edr::common {
-class ThreadPool;
-}  // namespace edr::common
 
 namespace edr::optim {
 
@@ -70,18 +59,14 @@ void project_capped_nonneg(std::span<double> values, double cap,
                                common::simd::Mode::kScalar);
 
 /// Project `allocation` in place onto the demand set A (per-client masked
-/// simplices) of `problem`.  A non-null `pool` splits the client rows across
-/// its lanes; the result is bitwise independent of the lane count.
+/// simplices) of `problem`.
 void project_demand_set(const Problem& problem, Matrix& allocation,
-                        common::ThreadPool* pool = nullptr,
                         common::simd::Mode simd =
                             common::simd::Mode::kScalar);
 
 /// Project `allocation` in place onto the capacity set B (per-replica capped
-/// columns) of `problem`.  A non-null `pool` splits the replica columns
-/// across its lanes; the result is bitwise independent of the lane count.
+/// columns) of `problem`.
 void project_capacity_set(const Problem& problem, Matrix& allocation,
-                          common::ThreadPool* pool = nullptr,
                           common::simd::Mode simd =
                               common::simd::Mode::kScalar);
 
@@ -93,12 +78,10 @@ void project_capacity_set(const Problem& problem, Matrix& allocation,
 /// infeasible pairs.  The allocation's pattern must be `problem.sparsity()`.
 void project_demand_set(const Problem& problem,
                         common::SparseAllocation& allocation,
-                        common::ThreadPool* pool = nullptr,
                         common::simd::Mode simd =
                             common::simd::Mode::kScalar);
 void project_capacity_set(const Problem& problem,
                           common::SparseAllocation& allocation,
-                          common::ThreadPool* pool = nullptr,
                           common::simd::Mode simd =
                               common::simd::Mode::kScalar);
 
@@ -108,9 +91,6 @@ struct DykstraOptions {
   /// Stop when successive full sweeps move the iterate less than this
   /// (Frobenius norm).
   double tolerance = 1e-10;
-  /// Optional pool for the row/column sweeps inside each iteration (null =
-  /// serial).  Deterministic: the same bytes for every lane count.
-  common::ThreadPool* pool = nullptr;
   /// Kernel dispatch for the correction axpy / projection apply loops.
   /// kScalar is the byte-pinned golden path.
   common::simd::Mode simd = common::simd::Mode::kScalar;

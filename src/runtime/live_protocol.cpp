@@ -108,7 +108,6 @@ core::SystemConfig LiveConfig::to_system_config() const {
   cfg.cdpsm = cdpsm;
   cfg.lddm = lddm;
   cfg.admm = admm;
-  cfg.solver_threads = 1;  // replicas are the parallelism in live mode
   cfg.enable_ring = false;  // TCP disconnects are the failure detector
   cfg.record_traces = false;
   cfg.seed = seed;

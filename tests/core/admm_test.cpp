@@ -162,21 +162,6 @@ TEST(Admm, RepresentationsAgreeOnTheSolution) {
   }
 }
 
-TEST(Admm, ThreadCountIsBitInvisible) {
-  const auto problem = small_instance(90, 14, 5);
-  AdmmOptions serial;
-  AdmmEngine one{problem, serial};
-  one.run();
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    AdmmOptions parallel;
-    parallel.threads = threads;
-    AdmmEngine many{problem, parallel};
-    many.run();
-    EXPECT_EQ(many.rounds_executed(), one.rounds_executed());
-    EXPECT_TRUE(many.solution() == one.solution()) << threads << " threads";
-  }
-}
-
 class AdmmConvergence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AdmmConvergence, ReachesCentralizedOptimum) {

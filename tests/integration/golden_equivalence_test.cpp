@@ -89,39 +89,27 @@ class GoldenEquivalence : public ::testing::TestWithParam<EdrGolden> {};
 
 TEST_P(GoldenEquivalence, RunReportAndTelemetryAreByteIdentical) {
   const EdrGolden& golden = GetParam();
-  // The deterministic parallel solve engine promises bitwise
-  // thread-count-independent results, so the pre-refactor digests must hold
-  // at every lane count — serial (the pinned default), two lanes, and all
-  // hardware threads (0).
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{0}}) {
-    auto cfg = analysis::paper_config(golden.algorithm, 7);
-    cfg.record_traces = golden.record_traces;
-    cfg.solver_threads = threads;
-    // The digests predate the SIMD kernel layer; simd=scalar is pinned
-    // explicitly (not left to the SystemConfig default) because its whole
-    // contract is that routing the hot loops through common/simd.hpp with
-    // Mode::kScalar changes ZERO observable bits.
-    cfg.simd = common::simd::Mode::kScalar;
-    cfg.telemetry = telemetry::make_telemetry();
-    core::EdrSystem system(
-        cfg, analysis::paper_trace(workload::distributed_file_service(), 42,
-                                   12.0));
-    const auto report = system.run();
+  auto cfg = analysis::paper_config(golden.algorithm, 7);
+  cfg.record_traces = golden.record_traces;
+  // The digests predate the SIMD kernel layer; simd=scalar is pinned
+  // explicitly (not left to the SystemConfig default) because its whole
+  // contract is that routing the hot loops through common/simd.hpp with
+  // Mode::kScalar changes ZERO observable bits.
+  cfg.simd = common::simd::Mode::kScalar;
+  cfg.telemetry = telemetry::make_telemetry();
+  core::EdrSystem system(
+      cfg, analysis::paper_trace(workload::distributed_file_service(), 42,
+                                 12.0));
+  const auto report = system.run();
 
-    const auto json = analysis::report_to_json(report, golden.algorithm);
-    EXPECT_EQ(digest_string(json), golden.report_digest)
-        << "report JSON diverged for " << golden.algorithm
-        << " threads=" << threads;
-    EXPECT_EQ(digest_doubles(report.response_times_ms),
-              golden.responses_digest)
-        << "response-time bit patterns diverged for " << golden.algorithm
-        << " threads=" << threads;
-    const auto jsonl = telemetry::metrics_to_jsonl(cfg.telemetry->metrics());
-    EXPECT_EQ(digest_string(jsonl), golden.metrics_digest)
-        << "telemetry metrics JSONL diverged for " << golden.algorithm
-        << " threads=" << threads;
-  }
+  const auto json = analysis::report_to_json(report, golden.algorithm);
+  EXPECT_EQ(digest_string(json), golden.report_digest)
+      << "report JSON diverged for " << golden.algorithm;
+  EXPECT_EQ(digest_doubles(report.response_times_ms), golden.responses_digest)
+      << "response-time bit patterns diverged for " << golden.algorithm;
+  const auto jsonl = telemetry::metrics_to_jsonl(cfg.telemetry->metrics());
+  EXPECT_EQ(digest_string(jsonl), golden.metrics_digest)
+      << "telemetry metrics JSONL diverged for " << golden.algorithm;
 }
 
 INSTANTIATE_TEST_SUITE_P(

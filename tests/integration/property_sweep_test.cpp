@@ -3,6 +3,7 @@
 // which scheduler runs or how the workload falls.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "analysis/experiments.hpp"
@@ -21,8 +22,11 @@ namespace {
 // System-level sweep: every algorithm x several workload seeds.
 // ---------------------------------------------------------------------------
 
-class SystemSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+// The algorithm key is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, which would put an ASLR-dependent
+// value into every listed test name.
+class SystemSweep : public ::testing::TestWithParam<
+                        std::tuple<std::string, std::uint64_t>> {
  protected:
   core::RunReport run() const {
     const auto [algorithm, seed] = GetParam();
@@ -78,9 +82,10 @@ TEST_P(SystemSweep, RunsAreDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(
     AlgorithmsAndSeeds, SystemSweep,
-    ::testing::Combine(::testing::Values("lddm", "cdpsm",
-                                         "rr",
-                                         "central"),
+    ::testing::Combine(::testing::Values(std::string("lddm"),
+                                         std::string("cdpsm"),
+                                         std::string("rr"),
+                                         std::string("central")),
                        ::testing::Values(42u, 1337u)),
     [](const auto& info) {
       std::string name = core::algorithm_display_name(std::get<0>(info.param));

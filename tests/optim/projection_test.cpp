@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "optim/instance.hpp"
 #include "optim/problem.hpp"
 
@@ -255,48 +254,6 @@ TEST(Dykstra, TightIterationCapSurfacesCapacityResidual) {
   EXPECT_DOUBLE_EQ(full.capacity_residual, 0.0);
 }
 
-// The parallel sweeps must be bitwise identical to the serial path — same
-// inputs, any lane count, same bytes.
-TEST(ParallelProjection, MatchesSerialBitwise) {
-  Rng rng{2024};
-  InstanceOptions opts;
-  opts.num_clients = 13;  // deliberately not divisible by the lane counts
-  opts.num_replicas = 5;
-  const Problem problem = make_random_instance(rng, opts);
-
-  Matrix start(13, 5);
-  for (auto& v : start.flat()) v = rng.uniform(-10.0, 30.0);
-
-  Matrix serial_demand = start;
-  project_demand_set(problem, serial_demand);
-  Matrix serial_capacity = start;
-  project_capacity_set(problem, serial_capacity);
-  Matrix serial_feasible = start;
-  const auto serial_result = project_feasible(problem, serial_feasible);
-
-  for (const std::size_t lanes : {std::size_t{2}, std::size_t{3}}) {
-    common::ThreadPool pool{lanes};
-
-    Matrix demand = start;
-    project_demand_set(problem, demand, &pool);
-    EXPECT_TRUE(demand == serial_demand) << "demand sweep, lanes=" << lanes;
-
-    Matrix capacity = start;
-    project_capacity_set(problem, capacity, &pool);
-    EXPECT_TRUE(capacity == serial_capacity)
-        << "capacity sweep, lanes=" << lanes;
-
-    Matrix feasible = start;
-    DykstraOptions options;
-    options.pool = &pool;
-    const auto result = project_feasible(problem, feasible, options);
-    EXPECT_TRUE(feasible == serial_feasible) << "Dykstra, lanes=" << lanes;
-    EXPECT_EQ(result.iterations, serial_result.iterations);
-    EXPECT_EQ(result.converged, serial_result.converged);
-    EXPECT_DOUBLE_EQ(result.final_change, serial_result.final_change);
-  }
-}
-
 TEST(MaskedSimplexProjection, AllMaskedRowWithZeroTarget) {
   // A fully masked row is legal when it carries no demand: everything is
   // forced to the unique feasible point, the zero vector.
@@ -401,33 +358,6 @@ TEST(SparseProjection, MatchesDenseMaskedProjectionBitwise) {
     EXPECT_DOUBLE_EQ(sparse_result.final_change, dense_result.final_change);
     EXPECT_DOUBLE_EQ(sparse_result.capacity_residual,
                      dense_result.capacity_residual);
-  }
-}
-
-TEST(SparseProjection, ParallelSweepsMatchSerialBitwise) {
-  Rng rng{78};
-  InstanceOptions opts;
-  opts.num_clients = 13;
-  opts.num_replicas = 5;
-  const Problem problem = make_random_instance(rng, opts);
-  common::SparseAllocation start{problem.sparsity()};
-  for (double& v : start.values()) v = rng.uniform(0.0, 30.0);
-
-  auto serial_demand = start;
-  project_demand_set(problem, serial_demand);
-  auto serial_capacity = start;
-  project_capacity_set(problem, serial_capacity);
-
-  for (const std::size_t lanes : {std::size_t{2}, std::size_t{3}}) {
-    common::ThreadPool pool{lanes};
-    auto demand = start;
-    project_demand_set(problem, demand, &pool);
-    EXPECT_DOUBLE_EQ(demand.distance(serial_demand), 0.0)
-        << "demand sweep, lanes=" << lanes;
-    auto capacity = start;
-    project_capacity_set(problem, capacity, &pool);
-    EXPECT_DOUBLE_EQ(capacity.distance(serial_capacity), 0.0)
-        << "capacity sweep, lanes=" << lanes;
   }
 }
 
