@@ -189,6 +189,25 @@ build/tests/test_integration --gtest_filter='SparseScale.*' \
 echo "sparse smoke: 10^5-client geo instance solved inside the wall budget"
 
 echo
+echo "== perfbench correctness smoke (sim_agg_100k + replay, live_dense_1k) =="
+# The end-to-end benchmark's correctness checks, not its timings (nothing
+# here compares a number against a bound). perfbench exits 3 when a check
+# fails: served + dropped must cover the trace, repeated runs must agree,
+# live replica digests must agree and allocations stay feasible, and with
+# --trace 1 the per-layer replay must solve the same rounds as the
+# end-to-end run. The first run builds perfbench/ into .bench_build/.
+for spec in "sim_agg_100k 1" "live_dense_1k 0"; do
+  read -r workload trace <<< "$spec"
+  if ! python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 3 --trace "$trace" > "$smoke_dir/perf_$workload.txt"; then
+    echo "perfbench smoke FAILED: $workload" >&2
+    grep '^# CHECK FAILED' "$smoke_dir/perf_$workload.txt" >&2 || true
+    exit 1
+  fi
+  echo "perfbench smoke: $workload correctness checks pass"
+done
+
+echo
 echo "== live smoke (edr_live --spawn vs edr_sim --transport inproc) =="
 # Boot 4 real replica processes + the coordinator over localhost TCP for
 # lddm and cdpsm, then re-run the identical schedule over the in-process
@@ -285,4 +304,4 @@ fi
 echo "observability smoke: digests identical with tracing on and off"
 
 echo
-echo "check.sh: all suites passed (regular + asan/ubsan + tsan + smoke + scenario + sparse + live + observability)"
+echo "check.sh: all suites passed (regular + asan/ubsan + tsan + smoke + scenario + sparse + perfbench + live + observability)"

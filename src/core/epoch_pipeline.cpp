@@ -107,19 +107,16 @@ EpochPipeline::~EpochPipeline() {
 // ---------- setup ----------
 
 void EpochPipeline::setup_links() {
-  // Client <-> replica links carry the configured latency; the solver
-  // interconnect (used by round traffic and ring heartbeats) uses the
-  // minimum link latency (same-fabric assumption).
+  // Client <-> replica links carry the configured latency, read straight
+  // from cfg_.latency (the scheduler's feasibility view and the delivery
+  // path share that one matrix); the solver interconnect (used by round
+  // traffic and ring heartbeats) uses the minimum link latency
+  // (same-fabric assumption).
   if (policy_.per_client_links) {
-    for (std::size_t c = 0; c < num_clients_; ++c) {
-      for (std::size_t n = 0; n < num_replicas_; ++n) {
-        net::LinkParams params;
-        params.latency = cfg_.latency(c, n);
-        params.bandwidth_mbps = cfg_.replicas[n].bandwidth;
-        network_.set_link(client_node(c), solver_node(n), params);
-        network_.set_link(solver_node(n), client_node(c), params);
-      }
-    }
+    std::vector<double> bandwidth(num_replicas_);
+    for (std::size_t n = 0; n < num_replicas_; ++n)
+      bandwidth[n] = cfg_.replicas[n].bandwidth;
+    network_.set_client_links(client_node(0), cfg_.latency, bandwidth);
   }
   net::LinkParams inter;
   inter.latency = cfg_.min_link_latency;
@@ -298,15 +295,13 @@ void EpochPipeline::inject_link_change(const LinkDegradation& change,
         change.replica < 0 ? num_replicas_ : change.replica + 1;
     for (std::size_t c = c_lo; c < c_hi; ++c) {
       for (std::size_t n = n_lo; n < n_hi; ++n) {
-        // The scheduler's feasibility view and the delivery path must
-        // agree, so mutate both the config matrix and the live links.
+        // One write serves both the scheduler's feasibility view and the
+        // delivery path: the network reads its link latency from this
+        // matrix.
         cfg_.latency(c, n) *= change.latency_factor;
-        if (!policy_.per_client_links) continue;
-        auto params = network_.link(client_node(c), solver_node(n));
-        params.latency *= change.latency_factor;
-        params.bandwidth_mbps *= change.bandwidth_factor;
-        network_.set_link(client_node(c), solver_node(n), params);
-        network_.set_link(solver_node(n), client_node(c), params);
+        if (policy_.per_client_links)
+          network_.scale_client_bandwidth(client_node(c), solver_node(n),
+                                          change.bandwidth_factor);
       }
     }
     // A replica-wide cut also shrinks the capacity the optimizer plans
@@ -402,14 +397,26 @@ void EpochPipeline::start_solve(std::size_t epoch) {
     return;
   }
 
-  demand_scratch_.assign(num_clients_, 0.0);
-  for (const auto& request : current_requests_)
+  // Per-client demand totals over the clients this batch touches, in
+  // ascending id order (the problem's row order), without a pass over the
+  // whole client population.
+  if (demand_scratch_.size() != num_clients_) {
+    demand_scratch_.assign(num_clients_, 0.0);
+    client_state_.assign(num_clients_, kClientUnseen);
+  }
+  candidate_scratch_.clear();
+  for (const auto& request : current_requests_) {
+    if (client_state_[request.client] == kClientUnseen) {
+      client_state_[request.client] = kClientIdle;
+      candidate_scratch_.push_back(request.client);
+    }
     demand_scratch_[request.client] += request.size_mb;
+  }
+  std::sort(candidate_scratch_.begin(), candidate_scratch_.end());
 
   active_clients_.clear();
   std::vector<Megabytes> demands;
-  kept_scratch_.clear();
-  for (std::uint32_t c = 0; c < num_clients_; ++c) {
+  for (const std::uint32_t c : candidate_scratch_) {
     if (demand_scratch_[c] <= 0.0) continue;
     // Latency feasibility against the *alive* replica set (hosts that do
     // not bound decision latency admit everyone).
@@ -417,22 +424,29 @@ void EpochPipeline::start_solve(std::size_t epoch) {
     for (const std::size_t n : active_replicas_)
       if (cfg_.latency(c, n) <= cfg_.max_latency) reachable = true;
     if (!reachable) {
-      for (const auto& request : current_requests_)
-        if (request.client == c) {
-          ++requests_dropped_;
-          requests_dropped_metric_.add(1);
-        }
+      client_state_[c] = kClientUnreachable;
       continue;
     }
+    client_state_[c] = kClientKept;
     active_clients_.push_back(c);
     demands.push_back(demand_scratch_[c]);
   }
-  for (const auto& request : current_requests_)
-    for (const std::uint32_t c : active_clients_)
-      if (request.client == c) {
-        kept_scratch_.push_back(request);
-        break;
-      }
+  // Keep the active clients' requests in arrival order; an unreachable
+  // client's requests are dropped, a zero-demand client's vanish.
+  kept_scratch_.clear();
+  std::size_t unreachable = 0;
+  for (const auto& request : current_requests_) {
+    if (client_state_[request.client] == kClientKept)
+      kept_scratch_.push_back(request);
+    else if (client_state_[request.client] == kClientUnreachable)
+      ++unreachable;
+  }
+  requests_dropped_ += unreachable;
+  requests_dropped_metric_.add(unreachable);
+  for (const std::uint32_t c : candidate_scratch_) {
+    demand_scratch_[c] = 0.0;
+    client_state_[c] = kClientUnseen;
+  }
   // Swap rather than move so the displaced buffer's capacity is reused by
   // the next epoch's filter pass.
   std::swap(current_requests_, kept_scratch_);

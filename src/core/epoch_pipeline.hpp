@@ -132,9 +132,18 @@ class EpochPipeline {
   std::vector<PlannedMessage> plan_scratch_;
   std::vector<std::size_t> announce_scratch_;
   // Per-epoch build scratch for start_solve (same reuse pattern as the
-  // plan/announce scratch above): the per-client demand totals and the
-  // kept-requests filter buffer.
+  // plan/announce scratch above): per-client demand totals and filter
+  // state (both reset after each use, only where the batch touched them),
+  // the batch's distinct clients, and the kept-requests filter buffer.
+  enum ClientState : std::uint8_t {
+    kClientUnseen,
+    kClientIdle,  // in the batch, no demand
+    kClientUnreachable,
+    kClientKept,
+  };
   std::vector<double> demand_scratch_;
+  std::vector<ClientState> client_state_;
+  std::vector<std::uint32_t> candidate_scratch_;
   std::vector<PendingRequest> kept_scratch_;
 
   /// Shed remainders awaiting the next scheduling opportunity.

@@ -13,11 +13,14 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "net/sim.hpp"
@@ -78,7 +81,10 @@ class SimNetwork {
   /// > 0, so reliable topologies stay bit-identical across seeds).
   void seed_loss(std::uint64_t seed) { loss_rng_.reseed(seed); }
 
-  /// Register (or replace) the handler for `node`.
+  /// Register (or replace) the handler for `node`.  Handlers live in a
+  /// table indexed by node id that grows here, so a handler must not attach
+  /// a node id above every id attached so far (that would move the table
+  /// under the running handler).
   void attach(NodeId node, Handler handler);
 
   /// Remove a node: pending deliveries to it are dropped (crash semantics).
@@ -88,7 +94,24 @@ class SimNetwork {
 
   /// Default parameters for links without an explicit override.
   void set_default_link(LinkParams params) { default_link_ = params; }
-  /// Directed per-pair override.
+
+  /// Star topology in one pass: hubs are nodes [0, H) and clients are nodes
+  /// [first_client, first_client + C), with H = latency_ms.cols() and
+  /// C = latency_ms.rows().  Client c and hub h share one symmetric,
+  /// reliable link whose latency is latency_ms(c, h), read at send time:
+  /// the caller's matrix is the single source of truth (it must outlive the
+  /// network and keep its shape), so writing an entry is what changes the
+  /// link.  Its bandwidth starts at hub_bandwidth_mbps[h] (see
+  /// scale_client_bandwidth).  Every client<->hub and hub<->hub directed
+  /// link gets a flat FIFO busy-time slot; hub<->hub links use the default
+  /// parameters.
+  void set_client_links(NodeId first_client, const Matrix& latency_ms,
+                        std::span<const double> hub_bandwidth_mbps);
+  /// Multiply the bandwidth of the client<->hub link (both directions).
+  void scale_client_bandwidth(NodeId client, NodeId hub, double factor);
+
+  /// Directed per-pair override; wins over the client links, and the
+  /// link's FIFO busy time carries over unchanged.
   void set_link(NodeId from, NodeId to, LinkParams params);
   [[nodiscard]] LinkParams link(NodeId from, NodeId to) const;
 
@@ -106,29 +129,26 @@ class SimNetwork {
 
   /// Traffic counters for `node`; a node that never sent or received
   /// returns the zero struct *without* growing any internal state (read-only
-  /// queries on a const network must stay read-only — the old mutable-map
-  /// lazy insert meant a telemetry sweep over candidate ids permanently
-  /// inflated the stats table).
+  /// queries on a const network must stay read-only, so a telemetry sweep
+  /// over candidate ids cannot inflate the stats table).
   [[nodiscard]] TrafficStats stats(NodeId node) const;
   [[nodiscard]] TrafficStats total_stats() const;
-  /// Number of nodes with a traffic record (regression hook for the
-  /// no-insert-on-read guarantee above).
+  /// Size of the stats table: one slot per id up to the highest node that
+  /// sent or received (regression hook for the no-insert-on-read guarantee
+  /// above).
   [[nodiscard]] std::size_t tracked_nodes() const { return stats_.size(); }
   /// Messages dropped by lossy links so far.
   [[nodiscard]] std::uint64_t messages_lost() const { return lost_; }
 
-  /// Sent-side totals keyed by Message::type.
-  [[nodiscard]] const std::map<int, TypeTraffic>& traffic_by_type() const {
-    return traffic_by_type_;
-  }
-  /// Aggregate of traffic_by_type over [first_type, last_type].
+  /// Sent-side totals over message types [first_type, last_type].
   [[nodiscard]] TypeTraffic traffic_in_range(int first_type,
                                              int last_type) const;
 
   /// Human-readable label for a message type in telemetry metric names
   /// (the protocol layer registers its enum names; unnamed types export as
   /// "type<k>").  Must be called before traffic of that type flows for the
-  /// per-type counters to pick the label up.
+  /// per-type counters to pick the label up.  Message types index a table,
+  /// so they must be non-negative (std::invalid_argument otherwise).
   void set_type_name(int type, std::string name);
 
   /// Wire message/byte counters and the link queueing-delay histogram.
@@ -145,17 +165,56 @@ class SimNetwork {
   [[nodiscard]] Simulator& sim() { return sim_; }
 
  private:
-  [[nodiscard]] std::array<telemetry::Counter, 2>& type_metrics(int type);
+  static constexpr std::size_t kNoSlot =
+      std::numeric_limits<std::size_t>::max();
+  [[nodiscard]] static std::uint64_t pair_key(NodeId from, NodeId to) {
+    return (static_cast<std::uint64_t>(from) << 32) | to;
+  }
+  /// Index of client c's link to hub h in the per-link tables, or kNoSlot
+  /// when `client` is outside the client range or `hub` is not a hub.
+  [[nodiscard]] std::size_t client_link(NodeId client, NodeId hub) const;
+  /// Busy-time slot of a directed link covered by set_client_links, or
+  /// kNoSlot.
+  [[nodiscard]] std::size_t busy_slot(NodeId from, NodeId to) const;
+  /// link() with the busy slot already resolved.
+  [[nodiscard]] LinkParams link_at(NodeId from, NodeId to,
+                                   std::size_t slot) const;
+  [[nodiscard]] TrafficStats& stats_slot(NodeId node);
+  /// Per message type: name, sent-side totals and, once telemetry sees the
+  /// type, its counters ([0] = messages, [1] = bytes).
+  struct TypeSlot {
+    std::string name;  // empty = unnamed
+    TypeTraffic traffic;
+    bool metrics_registered = false;
+    std::array<telemetry::Counter, 2> metrics;
+  };
+  [[nodiscard]] TypeSlot& type_slot(int type);
+  [[nodiscard]] std::string_view flow_name(int type) const;
+
   Simulator& sim_;
   Rng loss_rng_{0x1055ee7dULL};
   std::uint64_t lost_ = 0;
   LinkParams default_link_;
-  std::map<std::pair<NodeId, NodeId>, LinkParams> links_;
-  std::map<std::pair<NodeId, NodeId>, SimTime> link_busy_until_;
-  std::map<NodeId, Handler> handlers_;
-  std::map<NodeId, TrafficStats> stats_;
-  std::map<int, TypeTraffic> traffic_by_type_;
-  std::map<int, std::string> type_names_;
+
+  // Client links (set_client_links).  Per-link tables are row-major by
+  // client: entry c * hubs_ + h.  Busy slots: [0, 2·C·H) hold the client
+  // links (even = client->hub, odd = hub->client), then H·H hub->hub slots.
+  NodeId first_client_ = 0;
+  std::size_t clients_ = 0;
+  std::size_t hubs_ = 0;
+  const Matrix* client_latency_ms_ = nullptr;
+  std::vector<double> client_bandwidth_mbps_;
+  std::vector<SimTime> busy_until_;
+
+  // Pairs outside the client links, and overrides anywhere.
+  std::unordered_map<std::uint64_t, LinkParams> overrides_;
+  std::unordered_map<std::uint64_t, SimTime> pair_busy_until_;
+
+  // Per node, indexed by id (empty handler = detached).
+  std::vector<Handler> handlers_;
+  std::vector<TrafficStats> stats_;
+
+  std::vector<TypeSlot> types_;  // indexed by Message::type
 
   std::uint64_t flow_parent_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;  // null = sink handles only
@@ -164,8 +223,6 @@ class SimNetwork {
   telemetry::Counter messages_delivered_metric_;
   telemetry::Counter messages_lost_metric_;
   telemetry::Histogram queue_delay_metric_;
-  /// Per type: [0] = messages, [1] = bytes.
-  std::map<int, std::array<telemetry::Counter, 2>> type_metrics_;
 };
 
 }  // namespace edr::net

@@ -6,7 +6,8 @@
 namespace edr::net {
 
 void Simulator::schedule_at(SimTime when, Task task) {
-  queue_.push({std::max(when, now_), next_seq_++, std::move(task)});
+  queue_.push_back({std::max(when, now_), next_seq_++, std::move(task)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
   events_scheduled_metric_.add(1);
 }
 
@@ -18,8 +19,9 @@ bool Simulator::step() {
   if (queue_.empty()) return false;
   // Task must be moved out before execution: the task may schedule new
   // events and reallocate the queue.
-  Event event = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event event = std::move(queue_.back());
+  queue_.pop_back();
   now_ = event.time;
   ++executed_;
   events_executed_metric_.add(1);
@@ -37,7 +39,7 @@ std::size_t Simulator::run(std::size_t limit) {
 
 std::size_t Simulator::run_until(SimTime horizon) {
   std::size_t count = 0;
-  while (!queue_.empty() && queue_.top().time <= horizon) {
+  while (!queue_.empty() && queue_.front().time <= horizon) {
     step();
     ++count;
   }

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/units.hpp"
@@ -66,7 +65,10 @@ class Simulator {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary min-heap on (time, seq) under std::push_heap / std::pop_heap
+  /// (a std::priority_queue only exposes its top by const reference, which
+  /// forces a copy of every task).
+  std::vector<Event> queue_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

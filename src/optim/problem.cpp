@@ -31,6 +31,7 @@ Problem::Problem(std::vector<Megabytes> demands,
                  std::vector<ReplicaParams> replicas, Matrix latency,
                  Milliseconds max_latency)
     : demands_(std::move(demands)),
+      total_demand_(sum(std::span<const double>{demands_})),
       replicas_(std::move(replicas)),
       latency_(std::move(latency)),
       max_latency_(max_latency) {
@@ -45,10 +46,6 @@ Problem::Problem(std::vector<Megabytes> demands,
     for (std::size_t n = 0; n < latency_.cols(); ++n)
       feasible_(c, n) = latency_(c, n) <= max_latency_ ? 1.0 : 0.0;
   sparsity_ = std::make_shared<common::SparsityPattern>(feasible_);
-}
-
-Megabytes Problem::total_demand() const {
-  return sum(std::span<const double>{demands_});
 }
 
 std::size_t Problem::feasible_count(std::size_t c) const {

@@ -72,7 +72,9 @@ class Problem {
   [[nodiscard]] const std::vector<Megabytes>& demands() const {
     return demands_;
   }
-  [[nodiscard]] Megabytes total_demand() const;
+  /// Sum of the demands, computed once at construction (the iterative
+  /// engines read it every round for their stopping scale).
+  [[nodiscard]] Megabytes total_demand() const { return total_demand_; }
 
   [[nodiscard]] const ReplicaParams& replica(std::size_t n) const {
     return replicas_[n];
@@ -127,6 +129,7 @@ class Problem {
 
  private:
   std::vector<Megabytes> demands_;
+  Megabytes total_demand_ = 0.0;
   std::vector<ReplicaParams> replicas_;
   Matrix latency_;
   Matrix feasible_;  // 1.0 where usable, 0.0 where latency-masked

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace edr::net {
@@ -249,6 +250,132 @@ TEST(SimNetwork, TrafficInRangeEdgeCases) {
   // Degenerate single-point range at a type with no traffic.
   const auto none = f.network.traffic_in_range(6, 6);
   EXPECT_EQ(none.messages, 0u);
+
+  // Ranges reaching below zero or past every type seen are clamped.
+  const auto wide = f.network.traffic_in_range(-50, 5000);
+  EXPECT_EQ(wide.messages, 2u);
+  EXPECT_EQ(wide.bytes, 140u);
+
+  // Types index the per-type table, so a negative one is rejected.
+  EXPECT_THROW(f.network.set_type_name(-1, "bad"), std::invalid_argument);
+}
+
+// Star layout shared by the client-link tests: hubs 0 and 1, clients 2-4
+// (client c is node 2 + c).  Hub bandwidth 1 MB/s so 1 MB takes 1 s.
+struct StarFixture : Fixture {
+  Matrix latency{3, 2, 0.0};
+  std::vector<double> bandwidth{1.0, 1.0};
+
+  StarFixture() {
+    latency(0, 0) = 10.0;
+    latency(0, 1) = 20.0;
+    latency(1, 0) = 30.0;
+    latency(1, 1) = 40.0;
+    latency(2, 0) = 50.0;
+    latency(2, 1) = 60.0;
+    network.set_client_links(2, latency, bandwidth);
+    for (NodeId node = 0; node < 5; ++node) attach(node);
+  }
+};
+
+TEST(SimNetwork, ClientLinksAreSymmetricAndReadTheMatrixAtSendTime) {
+  StarFixture f;
+  EXPECT_DOUBLE_EQ(f.network.link(3, 1).latency, 40.0);
+  EXPECT_DOUBLE_EQ(f.network.link(1, 3).latency, 40.0);
+  EXPECT_DOUBLE_EQ(f.network.link(3, 1).bandwidth_mbps, 1.0);
+  // Hub <-> hub and client <-> client pairs use the default link.
+  f.network.set_default_link({.latency = 7.0, .bandwidth_mbps = 9.0});
+  EXPECT_DOUBLE_EQ(f.network.link(0, 1).latency, 7.0);
+  EXPECT_DOUBLE_EQ(f.network.link(2, 3).latency, 7.0);
+  // The matrix is the link: writing an entry changes the next send.
+  f.latency(1, 1) = 5.0;
+  f.network.scale_client_bandwidth(3, 1, 2.0);
+  EXPECT_DOUBLE_EQ(f.network.link(1, 3).latency, 5.0);
+  EXPECT_DOUBLE_EQ(f.network.link(1, 3).bandwidth_mbps, 2.0);
+  EXPECT_DOUBLE_EQ(f.network.link(3, 0).bandwidth_mbps, 1.0);
+  f.network.send(f.make(3, 1, 1'000'000));  // 0.5 s + 5 ms
+  f.sim.run();
+  ASSERT_EQ(f.deliveries.size(), 1u);
+  EXPECT_NEAR(f.deliveries[0].second, 0.505, 1e-12);
+}
+
+TEST(SimNetwork, ClientLinkSetupRejectsOverlapAndBadShapes) {
+  Simulator sim;
+  SimNetwork network{sim};
+  const Matrix latency(3, 2, 1.0);
+  const std::vector<double> two{1.0, 1.0};
+  const std::vector<double> one{1.0};
+  EXPECT_THROW(network.set_client_links(1, latency, two),
+               std::invalid_argument);
+  EXPECT_THROW(network.set_client_links(2, latency, one),
+               std::invalid_argument);
+  network.set_client_links(2, latency, two);
+  EXPECT_THROW(network.scale_client_bandwidth(5, 0, 2.0), std::out_of_range);
+  EXPECT_THROW(network.scale_client_bandwidth(2, 3, 2.0), std::out_of_range);
+}
+
+TEST(SimNetwork, OverrideBeatsClientLinksInOneDirectionOnly) {
+  StarFixture f;
+  f.network.set_link(0, 2, {.latency = 1.0, .bandwidth_mbps = 100.0});
+  EXPECT_DOUBLE_EQ(f.network.link(0, 2).latency, 1.0);
+  EXPECT_DOUBLE_EQ(f.network.link(2, 0).latency, 10.0);
+  f.network.send(f.make(0, 2));
+  f.network.send(f.make(2, 0));
+  f.sim.run();
+  ASSERT_EQ(f.deliveries.size(), 2u);
+  EXPECT_EQ(f.deliveries[0].first, 2u);
+  EXPECT_NEAR(f.deliveries[0].second, 0.001, 1e-12);
+  EXPECT_EQ(f.deliveries[1].first, 0u);
+  EXPECT_NEAR(f.deliveries[1].second, 0.010, 1e-12);
+}
+
+TEST(SimNetwork, FifoBusyTimeCarriesAcrossMidStreamOverride) {
+  // Client 0 -> hub 0 at 1 MB/s, 10 ms: the first 1 MB frame holds the
+  // wire until t = 1 s.  The override (2 MB/s, 1 ms) applies to the second
+  // frame, which still waits for the wire: 1 + 0.5 s, then 1 ms.
+  StarFixture f;
+  f.network.send(f.make(2, 0, 1'000'000));
+  f.network.set_link(2, 0, {.latency = 1.0, .bandwidth_mbps = 2.0});
+  f.network.send(f.make(2, 0, 1'000'000));
+  // The reverse direction has its own wire: no queueing behind the above.
+  f.network.send(f.make(0, 2, 1'000'000));
+  f.sim.run();
+  ASSERT_EQ(f.deliveries.size(), 3u);
+  EXPECT_EQ(f.deliveries[0].first, 0u);
+  EXPECT_NEAR(f.deliveries[0].second, 1.010, 1e-12);
+  EXPECT_EQ(f.deliveries[1].first, 2u);
+  EXPECT_NEAR(f.deliveries[1].second, 1.010, 1e-12);
+  EXPECT_EQ(f.deliveries[2].first, 0u);
+  EXPECT_NEAR(f.deliveries[2].second, 1.501, 1e-12);
+}
+
+TEST(SimNetwork, DetachAndReattachInsideClientLinks) {
+  StarFixture f;
+  f.network.detach(3);
+  EXPECT_FALSE(f.network.attached(3));
+  f.network.send(f.make(0, 3, 8));
+  f.sim.run();
+  EXPECT_TRUE(f.deliveries.empty());
+  EXPECT_EQ(f.network.stats(3).messages_received, 0u);
+  f.attach(3);
+  EXPECT_TRUE(f.network.attached(3));
+  f.network.send(f.make(0, 3, 8));
+  f.sim.run();
+  ASSERT_EQ(f.deliveries.size(), 1u);
+  EXPECT_EQ(f.deliveries[0].first, 3u);
+  EXPECT_EQ(f.network.stats(3).messages_received, 1u);
+  EXPECT_EQ(f.network.stats(0).messages_sent, 2u);
+}
+
+TEST(SimNetwork, StatsQueryFarBeyondStoredNodesIsReadOnly) {
+  StarFixture f;
+  f.network.send(f.make(0, 4, 8));
+  f.sim.run();
+  const std::size_t tracked = f.network.tracked_nodes();
+  EXPECT_EQ(f.network.stats(4'000'000'000u).messages_received, 0u);
+  EXPECT_FALSE(f.network.attached(4'000'000'000u));
+  EXPECT_EQ(f.network.tracked_nodes(), tracked);
+  EXPECT_EQ(f.network.stats(4).messages_received, 1u);
 }
 
 TEST(SimNetwork, PayloadSurvivesDelivery) {

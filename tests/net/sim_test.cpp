@@ -89,5 +89,35 @@ TEST(Simulator, StepOnEmptyQueueReturnsFalse) {
   EXPECT_EQ(sim.executed(), 0u);
 }
 
+/// Callable that counts how often it is copied (moves are free).
+struct CopyCounter {
+  int* copies;
+  int* runs;
+  CopyCounter(int* copies_in, int* runs_in)
+      : copies(copies_in), runs(runs_in) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), runs(other.runs) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+  ~CopyCounter() = default;
+  void operator()() const { ++*runs; }
+};
+
+TEST(Simulator, TasksRunWithoutBeingCopied) {
+  Simulator sim;
+  int copies = 0;
+  int runs = 0;
+  // Enough events, at mixed times, that the heap sifts tasks around on
+  // both push and pop.
+  for (int i = 0; i < 64; ++i)
+    sim.schedule_at((i * 37) % 11, CopyCounter{&copies, &runs});
+  sim.run();
+  EXPECT_EQ(runs, 64);
+  EXPECT_EQ(copies, 0);
+}
+
 }  // namespace
 }  // namespace edr::net
