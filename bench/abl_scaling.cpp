@@ -2,7 +2,10 @@
 // and §IV-D): CDPSM's per-round traffic grows O(|C|·|N|³), LDDM's
 // O(|C|·|N|), DONAR's O(|C|·|N|·|M|); "with the increasing system size,
 // EDR will eventually outperform DONAR in a large scale cloud system".
-// Also measures real wall-clock schedule() time per algorithm.
+// Also measures real wall-clock schedule() time per algorithm, and says of
+// each row whether the solve converged or stopped at its round cap (then
+// the row times the cap, not a solve) and how far it ended from the exact
+// optimum.
 #include "bench_util.hpp"
 
 #include <chrono>
@@ -11,6 +14,7 @@
 #include "core/cdpsm.hpp"
 #include "core/lddm.hpp"
 #include "core/scheduler.hpp"
+#include "optim/flow.hpp"
 #include "optim/instance.hpp"
 
 namespace {
@@ -25,18 +29,32 @@ optim::Problem instance(std::size_t replicas, std::uint64_t seed = 21) {
   return optim::make_random_instance(rng, opts);
 }
 
+/// The counters and JSON rows every size row shares.
+void record_row(benchmark::State& state, const optim::Problem& problem,
+                const core::ScheduleResult& result, const char* algorithm) {
+  const std::string size = std::to_string(state.range(0));
+  const auto exact = optim::solve_exact(problem);
+  state.counters["rounds"] = static_cast<double>(result.rounds);
+  state.counters["bytes_per_round"] =
+      result.rounds ? static_cast<double>(result.bytes) / result.rounds : 0.0;
+  state.counters["converged"] = result.converged ? 1.0 : 0.0;
+  state.counters["gap_pct"] =
+      100.0 * optim::relative_gap(problem, result.allocation, exact->cost);
+  bench::record_metric("bytes_per_round/" + size,
+                       state.counters["bytes_per_round"], "bytes", algorithm);
+  bench::record_metric("converged/" + size, state.counters["converged"],
+                       "bool", algorithm);
+  bench::record_metric("gap_pct/" + size, state.counters["gap_pct"], "%",
+                       algorithm);
+}
+
 void BM_Scaling_Lddm(benchmark::State& state) {
   const auto problem = instance(static_cast<std::size_t>(state.range(0)));
   core::LddmScheduler scheduler;
   core::ScheduleResult result;
   for (auto _ : state) result = scheduler.schedule(problem);
   state.counters["replicas"] = static_cast<double>(state.range(0));
-  state.counters["rounds"] = static_cast<double>(result.rounds);
-  state.counters["bytes_per_round"] =
-      result.rounds ? static_cast<double>(result.bytes) / result.rounds : 0.0;
-  bench::record_metric(
-      "bytes_per_round/" + std::to_string(state.range(0)),
-      state.counters["bytes_per_round"], "bytes", "lddm");
+  record_row(state, problem, result, "lddm");
 }
 BENCHMARK(BM_Scaling_Lddm)
     ->Unit(benchmark::kMillisecond)
@@ -59,12 +77,7 @@ void BM_Scaling_Cdpsm(benchmark::State& state) {
   core::ScheduleResult result;
   for (auto _ : state) result = scheduler.schedule(problem);
   state.counters["replicas"] = static_cast<double>(state.range(0));
-  state.counters["rounds"] = static_cast<double>(result.rounds);
-  state.counters["bytes_per_round"] =
-      result.rounds ? static_cast<double>(result.bytes) / result.rounds : 0.0;
-  bench::record_metric(
-      "bytes_per_round/" + std::to_string(state.range(0)),
-      state.counters["bytes_per_round"], "bytes", "cdpsm");
+  record_row(state, problem, result, "cdpsm");
 }
 BENCHMARK(BM_Scaling_Cdpsm)
     ->Unit(benchmark::kMillisecond)
@@ -80,12 +93,7 @@ void BM_Scaling_Donar(benchmark::State& state) {
   core::ScheduleResult result;
   for (auto _ : state) result = scheduler.schedule(problem);
   state.counters["mapping_nodes"] = static_cast<double>(state.range(0));
-  state.counters["rounds"] = static_cast<double>(result.rounds);
-  state.counters["bytes_per_round"] =
-      result.rounds ? static_cast<double>(result.bytes) / result.rounds : 0.0;
-  bench::record_metric(
-      "bytes_per_round/" + std::to_string(state.range(0)),
-      state.counters["bytes_per_round"], "bytes", "donar");
+  record_row(state, problem, result, "donar");
 }
 BENCHMARK(BM_Scaling_Donar)
     ->Unit(benchmark::kMillisecond)

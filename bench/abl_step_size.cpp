@@ -7,8 +7,8 @@
 
 #include "core/cdpsm.hpp"
 #include "core/lddm.hpp"
+#include "optim/flow.hpp"
 #include "optim/instance.hpp"
-#include "optim/solver.hpp"
 
 namespace {
 
@@ -24,7 +24,7 @@ optim::Problem instance() {
 
 void BM_Abl_CdpsmStep(benchmark::State& state) {
   const auto problem = instance();
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   const double lipschitz = problem.gradient_lipschitz_bound();
   const double factor = static_cast<double>(state.range(0)) / 10.0;
   core::CdpsmOptions options;
@@ -52,7 +52,7 @@ BENCHMARK(BM_Abl_CdpsmStep)
 
 void BM_Abl_LddmMuStep(benchmark::State& state) {
   const auto problem = instance();
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   const double factor = static_cast<double>(state.range(0)) / 10.0;
   core::LddmOptions options;
   options.mu_step =

@@ -21,8 +21,8 @@
 #include "core/admm.hpp"
 #include "core/cdpsm.hpp"
 #include "core/lddm.hpp"
+#include "optim/flow.hpp"
 #include "optim/instance.hpp"
-#include "optim/solver.hpp"
 
 namespace {
 
@@ -61,7 +61,7 @@ void BM_Fig5_CdpsmConstant(benchmark::State& state) {
     core::CdpsmEngine engine{problem, options};
     g_data.cdpsm_constant = engine.run();
   }
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   g_data.optimum = central->cost;
   state.counters["iters_to_1pct"] = static_cast<double>(
       g_data.cdpsm_constant.iterations_to_reach(g_data.optimum, 0.01));

@@ -3,7 +3,7 @@
 // Builds a replica-selection problem (4 replicas with different regional
 // electricity prices, 6 clients with demands), solves it with the
 // distributed LDDM scheduler, and compares the energy cost against
-// Round-Robin and the centralized reference.
+// Round-Robin and the exact centralized optimum.
 //
 //   ./examples/quickstart
 #include <cstdio>
@@ -59,7 +59,7 @@ int main() {
   std::printf("  EDR-LDDM    : %8.2f  (%zu distributed rounds, %zu bytes)\n",
               problem.total_cost(edr_result.allocation), edr_result.rounds,
               edr_result.bytes);
-  std::printf("  Centralized : %8.2f  (ground truth)\n",
+  std::printf("  Centralized : %8.2f  (exact optimum)\n",
               problem.total_cost(central_result.allocation));
   std::printf("  Round-Robin : %8.2f\n", problem.total_cost(rr));
   const double saving = 1.0 - problem.total_cost(edr_result.allocation) /

@@ -4,7 +4,7 @@
 
 #include "core/scheduler.hpp"
 #include "net/wire.hpp"
-#include "optim/solver.hpp"
+#include "optim/flow.hpp"
 
 namespace edr::core {
 
@@ -520,7 +520,7 @@ std::optional<Matrix> CentralizedAlgorithm::solve_oneshot(
   // died mid-solve, the epoch stalls until the ring detects the crash and
   // the restart elects the next survivor.
   if (!(*ctx.replica_alive)[coordinator_]) return std::nullopt;
-  auto solved = optim::solve_centralized(*ctx.problem);
+  auto solved = optim::solve_exact(*ctx.problem);
   Matrix allocation = solved ? std::move(solved->allocation)
                              : round_robin_allocation(*ctx.problem);
   if (observability_enabled(ctx)) {

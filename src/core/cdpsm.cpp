@@ -72,13 +72,6 @@ CdpsmEngine::CdpsmEngine(const optim::Problem& problem, CdpsmOptions options)
   }
 }
 
-void CdpsmEngine::set_estimate(std::size_t n, Matrix estimate) {
-  if (sparse_)
-    throw std::logic_error(
-        "CdpsmEngine::set_estimate: dense representation only");
-  estimates_.at(n) = std::move(estimate);
-}
-
 void CdpsmEngine::project_local(std::size_t n, Matrix& estimate) const {
   // Dykstra between the shared demand set and this replica's capacity
   // column — the projection onto X_n.  Thread-local scratch: this runs once

@@ -95,7 +95,6 @@ class CdpsmEngine {
   [[nodiscard]] const Matrix& estimate(std::size_t n) const {
     return estimates_[n];
   }
-  void set_estimate(std::size_t n, Matrix estimate);
 
   /// The problem the rounds actually iterate on: the original instance for
   /// kDense/kSparse, the aggregated instance for kAggregated.

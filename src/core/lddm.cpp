@@ -77,12 +77,6 @@ LddmEngine::LddmEngine(const optim::Problem& problem, LddmOptions options)
   }
 }
 
-std::vector<double> LddmEngine::solve_local(
-    std::size_t n, std::span<const double> multipliers) {
-  solve_local_inplace(n, multipliers);
-  return columns_[n];
-}
-
 void LddmEngine::solve_local_inplace(std::size_t n,
                                      std::span<const double> multipliers) {
   // Solve into the per-replica scratch, then swap: the current column is

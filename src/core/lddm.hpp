@@ -97,11 +97,6 @@ class LddmEngine {
 
   /// --- per-role steps (used by the simulator agents) ---
 
-  /// Replica n's subproblem solve against `multipliers`; updates the stored
-  /// column and prox center, returns the new column (one load per client).
-  std::vector<double> solve_local(std::size_t n,
-                                  std::span<const double> multipliers);
-
   /// Client-side dual update given the loads each replica reported for
   /// client c.  Returns the new μ_c.
   double update_multiplier(std::size_t c, double total_served);
@@ -182,7 +177,8 @@ class LddmEngine {
   }
 
  private:
-  /// solve_local without the return-by-value copy (round()'s hot path).
+  /// Replica n's subproblem solve against `multipliers`; updates the stored
+  /// column and prox center in place (round()'s hot path).
   void solve_local_inplace(std::size_t n, std::span<const double> multipliers);
   void solution_into(Matrix& out) const;
   /// Compact-path primal recovery: Cesàro average scattered into a sparse

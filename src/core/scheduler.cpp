@@ -2,18 +2,16 @@
 
 #include <stdexcept>
 
-#include "optim/solver.hpp"
+#include "optim/flow.hpp"
 
 namespace edr::core {
 
 ScheduleResult CentralizedScheduler::schedule(const optim::Problem& problem) {
-  auto solved = optim::solve_centralized(problem, options_);
+  auto solved = optim::solve_exact(problem);
   if (!solved)
     throw std::runtime_error("CentralizedScheduler: infeasible instance");
   ScheduleResult result;
   result.allocation = std::move(solved->allocation);
-  result.rounds = solved->iterations;
-  result.converged = solved->converged;
   // A central coordinator still needs each client's demand in and the
   // assignment out: 2 messages per (client, replica) pair.
   result.messages = 2 * problem.num_clients();

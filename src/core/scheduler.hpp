@@ -13,7 +13,6 @@
 #include "core/cdpsm.hpp"
 #include "core/lddm.hpp"
 #include "optim/problem.hpp"
-#include "optim/solver.hpp"
 
 namespace edr::core {
 
@@ -42,14 +41,9 @@ class Scheduler {
 /// The "single central agent" the paper contrasts EDR with.
 class CentralizedScheduler final : public Scheduler {
  public:
-  explicit CentralizedScheduler(optim::CentralizedOptions options = {})
-      : options_(options) {}
   [[nodiscard]] std::string name() const override { return "Centralized"; }
   [[nodiscard]] ScheduleResult schedule(
       const optim::Problem& problem) override;
-
- private:
-  optim::CentralizedOptions options_;
 };
 
 /// EDR running the consensus-based projected subgradient method.

@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "optim/flow.hpp"
 #include "optim/instance.hpp"
-#include "optim/kkt.hpp"
-#include "optim/solver.hpp"
 
 namespace edr::core {
 namespace {
@@ -145,7 +144,7 @@ TEST(Admm, SetStateRejectedOnCompactRepresentations) {
 
 TEST(Admm, RepresentationsAgreeOnTheSolution) {
   const auto problem = small_instance(89, 12, 4);
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   ASSERT_TRUE(central.has_value());
   for (const auto representation :
        {SolverRepresentation::kDense, SolverRepresentation::kSparse,
@@ -166,7 +165,7 @@ class AdmmConvergence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AdmmConvergence, ReachesCentralizedOptimum) {
   const auto problem = small_instance(GetParam());
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   ASSERT_TRUE(central.has_value());
 
   AdmmEngine engine{problem};

@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "optim/flow.hpp"
 #include "optim/instance.hpp"
 #include "optim/problem.hpp"
-#include "optim/solver.hpp"
 
 namespace edr::core {
 namespace {
@@ -85,7 +85,7 @@ TEST(ClientAggregation, ExpandPreservesSumsAndFeasibility) {
   const auto aggregated = aggregate_problem(problem, agg);
 
   // Solve the aggregated instance centrally and fan the result back out.
-  const auto solution = optim::solve_centralized(aggregated);
+  const auto solution = optim::solve_exact(aggregated);
   ASSERT_TRUE(solution.has_value());
   Matrix expanded;
   expand_allocation(agg, solution->allocation, expanded);

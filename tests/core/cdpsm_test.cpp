@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "optim/flow.hpp"
 #include "optim/instance.hpp"
-#include "optim/kkt.hpp"
-#include "optim/solver.hpp"
 
 namespace edr::core {
 namespace {
@@ -132,7 +131,7 @@ class CdpsmConvergence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CdpsmConvergence, ReachesCentralizedOptimum) {
   const auto problem = small_instance(GetParam());
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   ASSERT_TRUE(central.has_value());
 
   CdpsmEngine engine{problem};

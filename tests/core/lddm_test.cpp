@@ -5,8 +5,6 @@
 #include "common/rng.hpp"
 #include "optim/flow.hpp"
 #include "optim/instance.hpp"
-#include "optim/kkt.hpp"
-#include "optim/solver.hpp"
 
 namespace edr::core {
 namespace {
@@ -145,7 +143,7 @@ TEST(Lddm, InitialMuOverridesAutoHeuristic) {
 
 TEST(Lddm, MuStepFactorAcceleratesEarlyProgress) {
   const auto problem = small_instance(70);
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   ASSERT_TRUE(central.has_value());
 
   auto gap_after = [&](double factor, int rounds) {
@@ -164,7 +162,7 @@ class LddmConvergence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LddmConvergence, ReachesCentralizedOptimum) {
   const auto problem = small_instance(GetParam());
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   ASSERT_TRUE(central.has_value());
 
   LddmEngine engine{problem};

@@ -10,9 +10,8 @@
 #include "core/algorithm_registry.hpp"
 #include "core/scheduler.hpp"
 #include "core/system.hpp"
+#include "optim/flow.hpp"
 #include "optim/instance.hpp"
-#include "optim/kkt.hpp"
-#include "optim/solver.hpp"
 
 namespace edr {
 namespace {
@@ -112,7 +111,7 @@ class ShapeSweep : public ::testing::TestWithParam<
 
 TEST_P(ShapeSweep, LddmMatchesCentralized) {
   const auto problem = make();
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   ASSERT_TRUE(central.has_value());
   core::LddmEngine engine{problem};
   engine.run();
@@ -123,7 +122,7 @@ TEST_P(ShapeSweep, LddmMatchesCentralized) {
 
 TEST_P(ShapeSweep, CdpsmMatchesCentralized) {
   const auto problem = make();
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   ASSERT_TRUE(central.has_value());
   core::CdpsmEngine engine{problem};
   engine.run();

@@ -13,7 +13,8 @@
 //  * the engines head-to-head on one Problem, same rounds, with feasible
 //    solutions and near-identical objectives;
 //  * a 10^5-client geo-local instance solving within a single-digit-seconds
-//    wall budget — the scale the dense path cannot touch.
+//    wall budget — the scale the dense path cannot touch — whose exact
+//    optimum is the same on the class graph as on the full client graph.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -24,13 +25,14 @@
 #include "analysis/experiments.hpp"
 #include "analysis/report_json.hpp"
 #include "baselines/donar_algorithm.hpp"
+#include "core/aggregation.hpp"
 #include "core/cdpsm.hpp"
 #include "core/lddm.hpp"
 #include "core/representation.hpp"
 #include "core/system.hpp"
+#include "optim/flow.hpp"
 #include "optim/instance.hpp"
 #include "optim/problem.hpp"
-#include "optim/solver.hpp"
 #include "workload/apps.hpp"
 
 namespace edr {
@@ -98,7 +100,7 @@ TEST(SparseEquivalence, EnginesNearCentralizedOptimumUnderEveryStorage) {
   geo.num_replicas = 8;
   geo.window = 3;
   const auto problem = optim::make_geo_instance(rng, geo);
-  const auto central = optim::solve_centralized(problem);
+  const auto central = optim::solve_exact(problem);
   ASSERT_TRUE(central.has_value());
   const double optimum = central->cost;
   ASSERT_GT(optimum, 0.0);
@@ -192,6 +194,22 @@ TEST(SparseScale, HundredThousandClientsSolvesWithinWallBudget) {
     engine.run();
     const auto solution = engine.solution();
     EXPECT_TRUE(optim::check_feasibility(problem, solution).ok(1e-4));
+  }
+  {
+    // Aggregation is exact: the class graph's optimum is the full graph's,
+    // and fanned back out it is a feasible allocation at that cost.
+    const auto dense = optim::solve_exact(problem);
+    const auto agg = core::build_client_aggregation(problem);
+    const auto classes =
+        optim::solve_exact(core::aggregate_problem(problem, agg));
+    ASSERT_TRUE(dense.has_value());
+    ASSERT_TRUE(classes.has_value());
+    EXPECT_NEAR(classes->cost, dense->cost, 1e-9 * dense->cost);
+    Matrix expanded;
+    core::expand_allocation(agg, classes->allocation, expanded);
+    EXPECT_TRUE(optim::check_feasibility(problem, expanded).ok(1e-6));
+    EXPECT_NEAR(problem.total_cost(expanded), dense->cost,
+                1e-9 * dense->cost);
   }
 
   // Generous for CI noise; the measured wall on one core is ~2 s.
