@@ -13,7 +13,7 @@
 //      prox subproblem
 //        x_n ← argmin_{q ∈ B_n} E_n(Σq) + (ρ/2)‖q − (z_n − u_n)‖²
 //      — exactly the LDDM replica subproblem with zero multipliers
-//      (optim::solve_replica_subproblem_into), so the existing bisection
+//      (optim::solve_replica_subproblem_into), so the existing subproblem
 //      kernel is reused unchanged;
 //   2. z-update: Z ← Proj_A(X + U), one masked-simplex projection per
 //      client row (optim::project_demand_set);

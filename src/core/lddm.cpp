@@ -80,9 +80,9 @@ LddmEngine::LddmEngine(const optim::Problem& problem, LddmOptions options)
 void LddmEngine::solve_local_inplace(std::size_t n,
                                      std::span<const double> multipliers) {
   // Solve into the per-replica scratch, then swap: the current column is
-  // the prox center, which the bisection re-reads throughout, so a true
-  // in-place solve is not possible — but the swap keeps this allocation-
-  // free after the first round.
+  // the prox center, which the subproblem search re-reads throughout, so a
+  // true in-place solve is not possible — but the swap keeps this
+  // allocation-free after the first round.
   if (sparse_) {
     // Gather the multipliers of this replica's feasible clients and run the
     // maskless compact subproblem.

@@ -4,7 +4,7 @@
 // The per-client demand equalities Σ_n p_{c,n} = R_c are dualized with
 // multipliers μ_c.  One round:
 //   1. each replica solves its local subproblem over its own column
-//      (optim::solve_replica_subproblem, prox-regularized — see
+//      (optim::solve_replica_subproblem_into, prox-regularized — see
 //      objective.hpp for why) given the current μ, and reports the
 //      per-client loads to the clients;
 //   2. each client updates its multiplier by dual gradient ascent

@@ -15,9 +15,23 @@
 // The KKT system reduces to a monotone scalar equation in
 // t = φ'(s) + λ (φ = price-weighted energy, λ = capacity multiplier):
 //   q_c(t) = max(0, q̂_c − (μ_c + t)/ρ),   s(t) = Σ_c q_c(t)
-// with s(t) nonincreasing in t, solved by bisection.
+// with s(t) nonincreasing in t.  The root of F(t) = t − φ'(s(t)) (and, when
+// the capacity binds, of G(t) = B − s(t)) is the one a bisection to
+// 1e-13 would return, found in two steps:
+//   1. bracket: safeguarded Newton narrows the root to a bracket far
+//      tighter than the bisection's last interval (a few O(C) load sweeps);
+//   2. replay: the bisection's midpoint sequence is replayed against that
+//      bracket, sweeping only the midpoints that fall inside it.
+// The replay takes the bisection's branches, so the answer is bit-identical
+// to it, provided F and G are nondecreasing in t in floating point:
+//   - s(t) is a fixed-order sum of monotone roundings, so it is;
+//   - φ'(s) = u(α + βγ·pow(s, γ−1)) is nondecreasing when γ ≥ 1 and
+//     α, β, u ≥ 0 (what Problem::validate enforces) and pow is monotone in
+//     its base, as glibc's is in practice (tests/optim/subproblem_test.cpp
+//     checks the bits against the plain bisection).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -25,32 +39,21 @@
 
 namespace edr::optim {
 
-struct SubproblemResult {
-  std::vector<double> allocation;  // q, one entry per client
-  double load = 0.0;               // s = Σq
-  double capacity_multiplier = 0.0;  // λ ≥ 0, nonzero iff Σq == B_n
-};
-
-/// Solve the prox-regularized replica subproblem described above.
-/// `mask[c] == 0` forbids traffic from client c; `prox_center` is q̂ (often
-/// the previous iterate); `rho` must be > 0.
-[[nodiscard]] SubproblemResult solve_replica_subproblem(
-    const ReplicaParams& params, std::span<const double> multipliers,
-    std::span<const double> mask, std::span<const double> prox_center,
-    double rho);
-
-/// Scalar outputs of the subproblem when the allocation is written into a
-/// caller-owned buffer (the allocation-free variant below).
+/// Scalar outputs of the subproblem; the allocation q itself is written into
+/// a caller-owned buffer.
 struct SubproblemInfo {
   double load = 0.0;                 // s = Σq
   double capacity_multiplier = 0.0;  // λ ≥ 0, nonzero iff Σq == B_n
+  std::size_t sweeps = 0;            // O(C) load sweeps the search took
 };
 
-/// Same solve, but writes q into `allocation` (resized to the client count)
-/// instead of returning a fresh vector — the per-round LDDM hot path reuses
-/// one buffer per replica.  `allocation` must not alias `prox_center`: the
-/// bisection re-evaluates q from q̂ repeatedly, so an in-place overwrite of
-/// the prox center would corrupt later evaluations.
+/// Solve the prox-regularized replica subproblem described above, writing q
+/// into `allocation` (resized to the client count) — the per-round LDDM hot
+/// path reuses one buffer per replica.  `mask[c] == 0` forbids traffic from
+/// client c; `prox_center` is q̂ (often the previous iterate); `rho` must be
+/// > 0.  `allocation` must not alias `prox_center`: the search re-evaluates
+/// q from q̂ repeatedly, so an in-place overwrite of the prox center would
+/// corrupt later evaluations.
 SubproblemInfo solve_replica_subproblem_into(
     const ReplicaParams& params, std::span<const double> multipliers,
     std::span<const double> mask, std::span<const double> prox_center,
@@ -58,7 +61,7 @@ SubproblemInfo solve_replica_subproblem_into(
 
 /// Maskless compact form for the sparse solve paths: the inputs are already
 /// restricted to the replica's feasible clients, so every coordinate is
-/// active.  Same bisection, same bits as the masked form evaluated on the
+/// active.  Same search, same bits as the masked form evaluated on the
 /// feasible subsequence.
 SubproblemInfo solve_replica_subproblem_into(
     const ReplicaParams& params, std::span<const double> multipliers,
