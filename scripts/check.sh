@@ -41,16 +41,16 @@ echo "== thread sanitizer build (build-tsan/, -fsanitize=thread) =="
 # (LiveCluster.AllBackendsCompleteOverInproc). Replica threads are the only
 # solver parallelism, and they are why the projection scratch in
 # optim/projection.cpp is thread_local; that case is its gate. The solver
-# suites (SparseProjection, SparseEquivalence, GoldenEquivalence, Simd,
-# Admm, Scenario) are serial; they run here so the code the replica threads
-# execute is also seen under tsan instrumentation on its own. The rest of
-# the suite is covered by the asan/ubsan tree.
+# suites (SparseProjection, FusedDykstra, SparseEquivalence,
+# GoldenEquivalence, Simd, Admm, Scenario) are serial; they run here so the
+# code the replica threads execute is also seen under tsan instrumentation
+# on its own. The rest of the suite is covered by the asan/ubsan tree.
 cmake -B build-tsan -S . -DEDR_SANITIZE=tsan >/dev/null
 cmake --build build-tsan -j "$jobs" \
   --target test_integration test_telemetry test_net test_common test_optim \
            test_core test_runtime
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'AtomicModeCountsAcrossThreads|Mailbox|InprocTransport|LiveCluster.AllBackendsCompleteOverInproc|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
+  -R 'AtomicModeCountsAcrossThreads|Mailbox|InprocTransport|LiveCluster.AllBackendsCompleteOverInproc|SparseProjection|FusedDykstra|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
 
 echo
 echo "== telemetry overhead smoke (fig5_convergence, telemetry disabled) =="

@@ -304,18 +304,14 @@ void AdmmEngine::solution_into(Matrix& out) const {
   // Z is demand-feasible by construction; Dykstra repairs the (vanishing)
   // capacity violation so the reported point is exactly feasible.
   out = z_;
-  optim::DykstraOptions dykstra;
-  dykstra.simd = options_.simd;
-  optim::project_feasible(*problem_, out, dykstra);
+  optim::project_feasible(*problem_, out);
 }
 
 void AdmmEngine::solution_into_sparse(common::SparseAllocation& out) const {
   if (out.empty()) out = common::SparseAllocation(work_->sparsity());
   const std::span<const double> z_values = sparse_z_.values();
   std::copy(z_values.begin(), z_values.end(), out.values().begin());
-  optim::DykstraOptions dykstra;
-  dykstra.simd = options_.simd;
-  optim::project_feasible(*work_, out, dykstra);
+  optim::project_feasible(*work_, out);
 }
 
 void AdmmEngine::attach_telemetry(telemetry::Telemetry& telemetry) {

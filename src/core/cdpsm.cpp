@@ -361,9 +361,7 @@ void CdpsmEngine::solution_into(Matrix& out) const {
   out.reshape(problem_->num_clients(), problem_->num_replicas(), 0.0);
   for (const Matrix& estimate : estimates_)
     out.axpy(weight, estimate, options_.simd);
-  optim::DykstraOptions dykstra;
-  dykstra.simd = options_.simd;
-  optim::project_feasible(*problem_, out, dykstra);
+  optim::project_feasible(*problem_, out);
 }
 
 void CdpsmEngine::solution_into_sparse(common::SparseAllocation& out) const {
@@ -372,9 +370,7 @@ void CdpsmEngine::solution_into_sparse(common::SparseAllocation& out) const {
   out.fill(0.0);
   for (const common::SparseAllocation& estimate : sparse_estimates_)
     out.axpy(weight, estimate, options_.simd);
-  optim::DykstraOptions dykstra;
-  dykstra.simd = options_.simd;
-  optim::project_feasible(*work_, out, dykstra);
+  optim::project_feasible(*work_, out);
 }
 
 void CdpsmEngine::attach_telemetry(telemetry::Telemetry& telemetry) {

@@ -218,11 +218,11 @@ class LddmEngine {
   // reads the multipliers of its feasible clients only).
   std::vector<std::vector<double>> mu_gather_;
   // Round scratch, reused across rounds so the hot loop stays off the heap:
-  // per-replica subproblem output buffers (swapped into columns_), the
-  // previous columns for the movement stat, the per-client served totals,
-  // and the recovered solution double-buffered against last_solution_.
+  // per-replica subproblem output buffers (swapped into columns_, so after
+  // a round they hold the previous columns for the movement stat), the
+  // per-client served totals, and the recovered solution double-buffered
+  // against last_solution_.
   std::vector<std::vector<double>> solve_scratch_;
-  std::vector<std::vector<double>> previous_columns_;
   std::vector<double> served_;
   Matrix scratch_solution_;
   Matrix last_solution_;

@@ -153,26 +153,32 @@ std::string Problem::validate() const {
 
 FeasibilityReport check_feasibility(const Problem& problem,
                                     const Matrix& allocation) {
+  // One row-major pass; the loads and row sums add in the order of
+  // Matrix::col_sums and Matrix::row_sum.
   FeasibilityReport report;
-  for (const double v : allocation.flat())
-    if (!std::isfinite(v)) report.has_non_finite = true;
   std::vector<double>& loads = loads_scratch();
-  allocation.col_sums(loads);
+  loads.assign(problem.num_replicas(), 0.0);
+  for (std::size_t c = 0; c < problem.num_clients(); ++c) {
+    const std::span<const double> row = allocation.row(c);
+    const std::span<const double> mask = problem.feasible_row(c);
+    double served = 0.0;
+    for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
+      const double v = row[n];
+      if (!std::isfinite(v)) report.has_non_finite = true;
+      served += v;
+      loads[n] += v;
+      report.max_negative = std::max(report.max_negative, -v);
+      if (mask[n] == 0.0)
+        report.max_mask_violation =
+            std::max(report.max_mask_violation, std::abs(v));
+    }
+    const double gap = std::abs(served - problem.demand(c));
+    report.max_demand_violation = std::max(report.max_demand_violation, gap);
+  }
   for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
     const double excess = loads[n] - problem.replica(n).bandwidth;
     report.max_capacity_violation =
         std::max(report.max_capacity_violation, excess);
-  }
-  for (std::size_t c = 0; c < problem.num_clients(); ++c) {
-    const double gap = std::abs(allocation.row_sum(c) - problem.demand(c));
-    report.max_demand_violation = std::max(report.max_demand_violation, gap);
-    for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
-      report.max_negative =
-          std::max(report.max_negative, -allocation(c, n));
-      if (!problem.feasible_pair(c, n))
-        report.max_mask_violation =
-            std::max(report.max_mask_violation, std::abs(allocation(c, n)));
-    }
   }
   report.max_capacity_violation = std::max(report.max_capacity_violation, 0.0);
   return report;

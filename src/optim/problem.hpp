@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,10 @@ class Problem {
   /// Whether client c may use replica n (latency bound; paper's e_{c,n}).
   [[nodiscard]] bool feasible_pair(std::size_t c, std::size_t n) const {
     return feasible_(c, n) != 0.0;
+  }
+  /// Client c's row of the 0/1 feasibility mask (1.0 where usable).
+  [[nodiscard]] std::span<const double> feasible_row(std::size_t c) const {
+    return feasible_.row(c);
   }
   /// Number of replicas client c may use.
   [[nodiscard]] std::size_t feasible_count(std::size_t c) const;

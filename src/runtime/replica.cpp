@@ -174,7 +174,7 @@ LiveReplica::EpochOutcome LiveReplica::run_epoch(const LiveStart& start) {
 
   active_clients_.clear();
   std::vector<Megabytes> demands;
-  std::vector<core::PendingRequest> kept;
+  std::vector<bool> client_kept(num_clients, false);
   for (std::uint32_t c = 0; c < num_clients; ++c) {
     if (demand_by_client[c] <= 0.0) continue;
     bool reachable = false;
@@ -182,14 +182,13 @@ LiveReplica::EpochOutcome LiveReplica::run_epoch(const LiveStart& start) {
       if (config_->latency(c, n) <= config_->max_latency) reachable = true;
     if (!reachable) continue;
     active_clients_.push_back(c);
+    client_kept[c] = true;
     demands.push_back(demand_by_client[c]);
   }
+  // Keep the active clients' requests in arrival order.
+  std::vector<core::PendingRequest> kept;
   for (const auto& request : current_requests_)
-    for (const std::uint32_t c : active_clients_)
-      if (request.client == c) {
-        kept.push_back(request);
-        break;
-      }
+    if (client_kept[request.client]) kept.push_back(request);
   current_requests_ = std::move(kept);
 
   LiveEpochDone done_frame;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "optim/instance.hpp"
@@ -221,6 +226,66 @@ TEST(FeasibilityReport, DetectsCapacityViolation) {
   Matrix alloc(1, 1, 50.0);
   EXPECT_NEAR(check_feasibility(problem, alloc).max_capacity_violation, 40.0,
               1e-12);
+}
+
+
+// The dense report is one row-major pass; it must match the separate
+// passes it replaced (copied below) bit for bit, non-finite entries and
+// signed zeros included.
+FeasibilityReport separate_pass_report(const Problem& problem,
+                                       const Matrix& allocation) {
+  FeasibilityReport report;
+  for (const double v : allocation.flat())
+    if (!std::isfinite(v)) report.has_non_finite = true;
+  std::vector<double> loads;
+  allocation.col_sums(loads);
+  for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
+    const double excess = loads[n] - problem.replica(n).bandwidth;
+    report.max_capacity_violation =
+        std::max(report.max_capacity_violation, excess);
+  }
+  for (std::size_t c = 0; c < problem.num_clients(); ++c) {
+    const double gap = std::abs(allocation.row_sum(c) - problem.demand(c));
+    report.max_demand_violation = std::max(report.max_demand_violation, gap);
+    for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
+      report.max_negative =
+          std::max(report.max_negative, -allocation(c, n));
+      if (!problem.feasible_pair(c, n))
+        report.max_mask_violation =
+            std::max(report.max_mask_violation, std::abs(allocation(c, n)));
+    }
+  }
+  report.max_capacity_violation = std::max(report.max_capacity_violation, 0.0);
+  return report;
+}
+
+TEST(FeasibilityReport, SinglePassMatchesSeparatePassesBitwise) {
+  Rng rng{8128};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int trial = 0; trial < 500; ++trial) {
+    InstanceOptions opts;
+    opts.num_clients = 1 + static_cast<std::size_t>(rng.uniform_int(0, 20));
+    opts.num_replicas = 1 + static_cast<std::size_t>(rng.uniform_int(0, 9));
+    const Problem problem = make_random_instance(rng, opts);
+    Matrix alloc(opts.num_clients, opts.num_replicas);
+    for (double& v : alloc.flat()) {
+      const double u = rng.uniform(0.0, 1.0);
+      v = u < 0.05   ? -0.0
+          : u < 0.07 ? std::numeric_limits<double>::quiet_NaN()
+          : u < 0.08 ? -std::numeric_limits<double>::infinity()
+                     : rng.uniform(-2.0, 40.0);
+    }
+    const FeasibilityReport got = check_feasibility(problem, alloc);
+    const FeasibilityReport want = separate_pass_report(problem, alloc);
+    EXPECT_EQ(got.has_non_finite, want.has_non_finite) << trial;
+    EXPECT_EQ(bits(got.max_capacity_violation),
+              bits(want.max_capacity_violation)) << trial;
+    EXPECT_EQ(bits(got.max_demand_violation), bits(want.max_demand_violation))
+        << trial;
+    EXPECT_EQ(bits(got.max_negative), bits(want.max_negative)) << trial;
+    EXPECT_EQ(bits(got.max_mask_violation), bits(want.max_mask_violation))
+        << trial;
+  }
 }
 
 }  // namespace
