@@ -8,14 +8,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/experiments.hpp"
 #include "common/json.hpp"
-#include "common/simd.hpp"
 #include "common/table.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -37,14 +35,6 @@ inline void banner(const char* figure, const char* description) {
 inline std::shared_ptr<telemetry::Telemetry>& shared_telemetry() {
   static std::shared_ptr<telemetry::Telemetry> instance;
   return instance;
-}
-
-/// Kernel dispatch for benches that honor --simd=scalar|auto.  Defaults to
-/// kScalar — the byte-pinned golden path — so bench numbers stay
-/// bit-comparable run to run unless vectorization is requested explicitly.
-inline common::simd::Mode& simd_mode() {
-  static common::simd::Mode mode = common::simd::Mode::kScalar;
-  return mode;
 }
 
 /// One machine-readable result row for the --json-out emission.
@@ -102,7 +92,6 @@ class Harness {
     banner(figure, description);
     constexpr std::string_view kTelemetryFlag = "--telemetry-out=";
     constexpr std::string_view kJsonFlag = "--json-out";
-    constexpr std::string_view kSimdFlag = "--simd=";
     constexpr std::string_view kTransportFlag = "--transport=";
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg{argv[i]};
@@ -138,16 +127,6 @@ class Harness {
       }
       if (arg.substr(0, kTelemetryFlag.size()) == kTelemetryFlag) {
         telemetry_path_ = std::string(arg.substr(kTelemetryFlag.size()));
-        strip = true;
-      } else if (arg.substr(0, kSimdFlag.size()) == kSimdFlag) {
-        try {
-          simd_mode() = common::simd::parse_mode(
-              std::string_view{arg}.substr(kSimdFlag.size()));
-        } catch (const std::invalid_argument&) {
-          std::fprintf(stderr, "%s: unknown --simd value in '%s' (choices: "
-                       "scalar, auto)\n", argv[0], argv[i]);
-          std::exit(2);
-        }
         strip = true;
       } else if (arg == kJsonFlag) {
         json_path_ = default_json_path(argv[0]);

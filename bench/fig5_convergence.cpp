@@ -49,14 +49,12 @@ core::LddmOptions lddm_options() {
   core::LddmOptions options;
   options.initial_mu = 0.0;
   options.mu_step_factor = 3.0;  // the runtime's constant step
-  options.simd = edr::bench::simd_mode();
   return options;
 }
 
 void BM_Fig5_CdpsmConstant(benchmark::State& state) {
   const auto problem = fig5_instance();
   core::CdpsmOptions options;
-  options.simd = edr::bench::simd_mode();
   for (auto _ : state) {
     core::CdpsmEngine engine{problem, options};
     g_data.cdpsm_constant = engine.run();
@@ -72,7 +70,6 @@ void BM_Fig5_CdpsmDiminishing(benchmark::State& state) {
   const auto problem = fig5_instance();
   core::CdpsmOptions options;
   options.diminishing_step = true;
-  options.simd = edr::bench::simd_mode();
   for (auto _ : state) {
     core::CdpsmEngine engine{problem, options};
     g_data.cdpsm_diminishing = engine.run();
@@ -98,7 +95,6 @@ BENCHMARK(BM_Fig5_Lddm)->Unit(benchmark::kMillisecond)->Iterations(1);
 void BM_Fig5_Admm(benchmark::State& state) {
   const auto problem = fig5_instance();
   core::AdmmOptions options;
-  options.simd = edr::bench::simd_mode();
   for (auto _ : state) {
     core::AdmmEngine engine{problem, options};
     g_data.admm = engine.run();

@@ -31,7 +31,6 @@
 
 #include "baselines/donar_algorithm.hpp"
 #include "common/args.hpp"
-#include "common/simd.hpp"
 #include "core/algorithm_registry.hpp"
 #include "core/representation.hpp"
 #include "net/tcp_transport.hpp"
@@ -141,7 +140,6 @@ int main(int argc, char** argv) {
   std::string postmortem_out;
 
   std::string representation = "dense";
-  std::string simd = "scalar";
   bool list_algorithms = false;
 
   ArgParser parser{"edr_live", "live-cluster coordinator and launcher"};
@@ -153,11 +151,6 @@ int main(int argc, char** argv) {
   parser.add_option("representation",
                     "solver iterate storage: dense|sparse|aggregated",
                     &representation);
-  parser.add_option("simd",
-                    "solver kernel dispatch shipped to every replica: "
-                    "scalar (byte-pinned, default) | auto (per-host widest "
-                    "ISA; digests diverge on mixed-ISA clusters)",
-                    &simd);
   parser.add_option("replicas", "number of replicas", &replicas);
   parser.add_option("clients", "number of clients", &clients);
   parser.add_option("epochs", "number of epochs", &epochs);
@@ -238,13 +231,6 @@ int main(int argc, char** argv) {
   } else {
     std::cerr << "edr_live: unknown --representation '" << representation
               << "' (choices: dense, sparse, aggregated)\n";
-    return 2;
-  }
-  try {
-    config.simd = common::simd::parse_mode(simd);
-  } catch (const std::invalid_argument&) {
-    std::cerr << "edr_live: unknown --simd '" << simd
-              << "' (choices: scalar, auto)\n";
     return 2;
   }
 

@@ -21,7 +21,6 @@
 #include "baselines/donar_algorithm.hpp"
 #include "common/args.hpp"
 #include "common/json.hpp"
-#include "common/simd.hpp"
 #include "common/table.hpp"
 #include "core/algorithm_registry.hpp"
 #include "core/representation.hpp"
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
   std::string telemetry_out;
   std::string transport = "sim";
   std::string representation = "dense";
-  std::string simd = "scalar";
   std::string scenario_name;
   bool list_algorithms = false;
   bool list_scenarios = false;
@@ -148,10 +146,6 @@ int main(int argc, char** argv) {
                     "(latency-feasible pairs only) | aggregated (sparse + "
                     "client equivalence classes)",
                     &representation);
-  parser.add_option("simd",
-                    "solver kernel dispatch: scalar (byte-pinned golden "
-                    "path, default) | auto (widest ISA this CPU supports)",
-                    &simd);
   parser.add_option("transport",
                     "execution substrate: sim (deterministic simulator, "
                     "default) | inproc (live runtime over the threaded "
@@ -216,14 +210,6 @@ int main(int argc, char** argv) {
               << "' (choices:";
     for (const auto& key : registry.keys()) std::cerr << " " << key;
     std::cerr << "; run --list-algorithms for descriptions)\n";
-    return 2;
-  }
-  common::simd::Mode simd_mode = common::simd::Mode::kScalar;
-  try {
-    simd_mode = common::simd::parse_mode(simd);
-  } catch (const std::invalid_argument&) {
-    std::cerr << "edr_sim: unknown --simd '" << simd
-              << "' (choices: scalar, auto)\n";
     return 2;
   }
   if (transport != "sim" && transport != "inproc" && transport != "tcp") {
@@ -293,7 +279,6 @@ int main(int argc, char** argv) {
           runtime::make_default_live_config(replicas, clients, epochs, seed);
       config.algorithm = algorithm;
       config.representation = storage;
-      config.simd = simd_mode;
       runtime::LocalClusterOptions options;
       options.transport = transport == "tcp" ? runtime::LiveTransport::kTcp
                                              : runtime::LiveTransport::kInproc;
@@ -357,7 +342,6 @@ int main(int argc, char** argv) {
     cfg.num_clients = clients;
     cfg.record_traces = traces;
     cfg.representation = storage;
-    cfg.simd = simd_mode;
     if (slo_ms > 0.0) watch = true;
     if (!telemetry_out.empty() || watch)
       cfg.telemetry = telemetry::make_telemetry();

@@ -42,7 +42,7 @@ echo "== thread sanitizer build (build-tsan/, -fsanitize=thread) =="
 # solver parallelism, and they are why the projection scratch in
 # optim/projection.cpp is thread_local; that case is its gate. The solver
 # suites (SparseProjection, FusedDykstra, SparseEquivalence,
-# GoldenEquivalence, Simd, Admm, Scenario) are serial; they run here so the
+# GoldenEquivalence, Admm, Scenario) are serial; they run here so the
 # code the replica threads execute is also seen under tsan instrumentation
 # on its own. The rest of the suite is covered by the asan/ubsan tree.
 cmake -B build-tsan -S . -DEDR_SANITIZE=tsan >/dev/null
@@ -50,7 +50,7 @@ cmake --build build-tsan -j "$jobs" \
   --target test_integration test_telemetry test_net test_common test_optim \
            test_core test_runtime
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'AtomicModeCountsAcrossThreads|Mailbox|InprocTransport|LiveCluster.AllBackendsCompleteOverInproc|SparseProjection|FusedDykstra|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
+  -R 'AtomicModeCountsAcrossThreads|Mailbox|InprocTransport|LiveCluster.AllBackendsCompleteOverInproc|SparseProjection|FusedDykstra|SparseEquivalence|GoldenEquivalence|Admm|Scenario'
 
 echo
 echo "== telemetry overhead smoke (fig5_convergence, telemetry disabled) =="
@@ -89,26 +89,6 @@ if ! diff -u "$smoke_dir/schema.committed" "$smoke_dir/schema.new"; then
   exit 1
 fi
 echo "bench baseline smoke: abl_scaling metric schema matches the baseline"
-# Same schema check for the SIMD kernel microbenchmark, plus its built-in
-# cross-mode agreement verdict: a vectorized kernel that computes something
-# different from the scalar golden path must fail the pre-merge check even
-# on a machine where it happens to be fast.
-build/bench/abl_kernels "--json-out=$smoke_dir/BENCH_abl_kernels.json" \
-  >/dev/null 2>&1
-bench_schema "$smoke_dir/BENCH_abl_kernels.json" > "$smoke_dir/kernels.new"
-bench_schema BENCH_abl_kernels.json > "$smoke_dir/kernels.committed"
-if ! diff -u "$smoke_dir/kernels.committed" "$smoke_dir/kernels.new"; then
-  echo "bench baseline smoke FAILED: metric schema drifted from" \
-       "BENCH_abl_kernels.json — regenerate the committed baseline" >&2
-  exit 1
-fi
-if ! grep -q '"name":"agreement","value":1' \
-    "$smoke_dir/BENCH_abl_kernels.json"; then
-  echo "bench baseline smoke FAILED: abl_kernels cross-mode agreement" \
-       "check reported divergence between scalar and auto kernels" >&2
-  exit 1
-fi
-echo "bench baseline smoke: abl_kernels schema matches, scalar/auto agree"
 
 echo
 echo "== scenario smoke (named dynamic-world scenarios + sweep schema) =="
@@ -116,7 +96,7 @@ echo "== scenario smoke (named dynamic-world scenarios + sweep schema) =="
 # print a PASS verdict (edr_sim --scenario exits non-zero otherwise).
 # Then regenerate the scenario-sweep metrics and schema-diff them against
 # the committed BENCH_scenario_sweep.json baseline, exactly like the
-# abl_scaling/abl_kernels baselines above.
+# abl_scaling baseline above.
 for scen in price-flip replica-churn; do
   build/examples/edr_sim --scenario "$scen" > "$smoke_dir/scen_$scen.txt"
   if ! grep -q '^verdict: PASS$' "$smoke_dir/scen_$scen.txt"; then

@@ -16,9 +16,35 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/simd.hpp"
-
 namespace edr {
+
+// The solver hot loops shared by Matrix, common::SparseAllocation and the
+// engines' flat scratch vectors.  Each one is a plain index-order loop, so
+// every caller sees the same operations in the same order.
+
+/// y[i] += a * x[i].
+inline void axpy(std::span<double> y, double a, std::span<const double> x) {
+  assert(y.size() == x.size());
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] += a * x[i];
+}
+
+/// y[i] += x[i].
+inline void accumulate(std::span<double> y, std::span<const double> x) {
+  assert(y.size() == x.size());
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] += x[i];
+}
+
+/// sqrt(Σ (a[i] - b[i])²), summed in index order.
+[[nodiscard]] inline double l2_distance(std::span<const double> a,
+                                        std::span<const double> b) {
+  assert(a.size() == b.size());
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return std::sqrt(sum);
+}
 
 class Matrix {
  public:
@@ -81,13 +107,10 @@ class Matrix {
 
   /// col_sums without the per-call allocation: `sums` is resized to cols()
   /// and overwritten.  The per-round hot loops (objective, feasibility
-  /// checks) pass a reused scratch vector here.  The row accumulation is
-  /// element-wise across columns, so every mode produces identical bits.
-  void col_sums(std::vector<double>& sums,
-                common::simd::Mode mode = common::simd::Mode::kScalar) const {
+  /// checks) pass a reused scratch vector here.
+  void col_sums(std::vector<double>& sums) const {
     sums.assign(cols_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r)
-      common::simd::accumulate(mode, sums, row(r));
+    for (std::size_t r = 0; r < rows_; ++r) accumulate(sums, row(r));
   }
 
   void fill(double value) { std::ranges::fill(data_, value); }
@@ -102,26 +125,20 @@ class Matrix {
     data_.assign(size, fill);
   }
 
-  /// this += scale * other (same shape required).  kScalar (default) is the
-  /// byte-pinned path; kAuto may fuse multiply-add (each entry within the
-  /// product's rounding error of the scalar result).
-  void axpy(double scale, const Matrix& other,
-            common::simd::Mode mode = common::simd::Mode::kScalar) {
+  /// this += scale * other (same shape required).
+  void axpy(double scale, const Matrix& other) {
     assert(rows_ == other.rows_ && cols_ == other.cols_);
-    common::simd::axpy(mode, flat(), scale, other.flat());
+    edr::axpy(flat(), scale, other.flat());
   }
 
   void scale(double factor) {
     for (double& v : data_) v *= factor;
   }
 
-  /// Frobenius distance to another matrix of the same shape.  The kAuto
-  /// reduction reorders the sum (tolerance-level, see common/simd.hpp).
-  [[nodiscard]] double distance(
-      const Matrix& other,
-      common::simd::Mode mode = common::simd::Mode::kScalar) const {
+  /// Frobenius distance to another matrix of the same shape.
+  [[nodiscard]] double distance(const Matrix& other) const {
     assert(rows_ == other.rows_ && cols_ == other.cols_);
-    return common::simd::distance(mode, flat(), other.flat());
+    return l2_distance(flat(), other.flat());
   }
 
   [[nodiscard]] double frobenius_norm() const {

@@ -1,6 +1,5 @@
 #include "common/sparse.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace edr::common {
@@ -52,12 +51,6 @@ void SparseAllocation::col_sums(std::vector<double>& sums) const {
     const auto vals = row(r);
     for (std::size_t i = 0; i < cols.size(); ++i) sums[cols[i]] += vals[i];
   }
-}
-
-double SparseAllocation::distance(const SparseAllocation& other,
-                                  simd::Mode mode) const {
-  assert(pattern_.get() == other.pattern_.get());
-  return simd::distance(mode, values(), other.values());
 }
 
 void SparseAllocation::to_dense(Matrix& out) const {

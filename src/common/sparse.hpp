@@ -151,17 +151,16 @@ class SparseAllocation {
     for (double& v : values_) v *= factor;
   }
 
-  /// this += scale * other (same pattern required).  kScalar (default) is
-  /// the byte-pinned path; kAuto may fuse multiply-add (each entry within
-  /// the product's rounding error of the scalar result).
-  void axpy(double scale, const SparseAllocation& other,
-            simd::Mode mode = simd::Mode::kScalar) {
+  /// this += scale * other (same pattern required).
+  void axpy(double scale, const SparseAllocation& other) {
     assert(pattern_.get() == other.pattern_.get());
-    simd::axpy(mode, values(), scale, other.values());
+    edr::axpy(values(), scale, other.values());
   }
 
-  [[nodiscard]] double distance(const SparseAllocation& other,
-                                simd::Mode mode = simd::Mode::kScalar) const;
+  [[nodiscard]] double distance(const SparseAllocation& other) const {
+    assert(pattern_.get() == other.pattern_.get());
+    return l2_distance(values(), other.values());
+  }
 
   /// Scatter into a dense rows() x cols() matrix (structural zeros
   /// elsewhere).  `out` is reshaped in place.

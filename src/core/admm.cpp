@@ -89,7 +89,7 @@ void AdmmEngine::set_state(const Matrix& z, const Matrix& u) {
         z_(c, n) = 0.0;
         u_(c, n) = 0.0;
       }
-  optim::project_demand_set(*work_, z_, options_.simd);
+  optim::project_demand_set(*work_, z_);
 }
 
 void AdmmEngine::solve_replica(std::size_t n) {
@@ -145,21 +145,21 @@ AdmmRoundStats AdmmEngine::round() {
     const std::span<double> z_values = sparse_z_.values();
     const std::span<const double> x_values = sparse_x_.values();
     std::copy(x_values.begin(), x_values.end(), z_values.begin());
-    common::simd::accumulate(options_.simd, z_values, sparse_u_.values());
-    optim::project_demand_set(*work_, sparse_z_, options_.simd);
-    common::simd::accumulate(options_.simd, sparse_u_.values(), x_values);
-    common::simd::axpy(options_.simd, sparse_u_.values(), -1.0, z_values);
-    primal = sparse_x_.distance(sparse_z_, options_.simd);
-    dual = rho_ * sparse_z_.distance(sparse_z_prev_, options_.simd);
+    accumulate(z_values, sparse_u_.values());
+    optim::project_demand_set(*work_, sparse_z_);
+    accumulate(sparse_u_.values(), x_values);
+    axpy(sparse_u_.values(), -1.0, z_values);
+    primal = sparse_x_.distance(sparse_z_);
+    dual = rho_ * sparse_z_.distance(sparse_z_prev_);
   } else {
     z_prev_ = z_;
     z_ = x_;
-    z_.axpy(1.0, u_, options_.simd);
-    optim::project_demand_set(*work_, z_, options_.simd);
-    u_.axpy(1.0, x_, options_.simd);
-    u_.axpy(-1.0, z_, options_.simd);
-    primal = x_.distance(z_, options_.simd);
-    dual = rho_ * z_.distance(z_prev_, options_.simd);
+    z_.axpy(1.0, u_);
+    optim::project_demand_set(*work_, z_);
+    u_.axpy(1.0, x_);
+    u_.axpy(-1.0, z_);
+    primal = x_.distance(z_);
+    dual = rho_ * z_.distance(z_prev_);
   }
   stats.primal_residual = primal;
   stats.dual_residual = dual;

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/matrix.hpp"
-#include "common/simd.hpp"
 #include "common/sparse.hpp"
 #include "core/aggregation.hpp"
 #include "core/representation.hpp"
@@ -76,10 +75,6 @@ struct AdmmOptions {
   /// path; kSparse/kAggregated keep X, Z, U on the feasible pairs only and
   /// run the maskless subproblem on the compact columns.
   SolverRepresentation representation = SolverRepresentation::kDense;
-  /// Kernel dispatch for the consensus/dual axpy sweeps, residual
-  /// reductions and projection apply loops (common/simd.hpp).  kScalar —
-  /// the default — is the byte-pinned golden path.
-  common::simd::Mode simd = common::simd::Mode::kScalar;
 };
 
 struct AdmmRoundStats {

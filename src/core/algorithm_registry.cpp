@@ -17,7 +17,6 @@ AlgorithmRegistry& AlgorithmRegistry::instance() {
           [](const SystemConfig& cfg) {
             auto options = cfg.lddm;
             options.representation = cfg.representation;
-            options.simd = cfg.simd;
             return std::make_unique<LddmAlgorithm>(options, cfg.warm_start);
           });
     r.add("cdpsm",
@@ -26,7 +25,6 @@ AlgorithmRegistry& AlgorithmRegistry::instance() {
           [](const SystemConfig& cfg) {
             auto options = cfg.cdpsm;
             options.representation = cfg.representation;
-            options.simd = cfg.simd;
             return std::make_unique<CdpsmAlgorithm>(options);
           });
     r.add("admm",
@@ -35,7 +33,6 @@ AlgorithmRegistry& AlgorithmRegistry::instance() {
           [](const SystemConfig& cfg) {
             auto options = cfg.admm;
             options.representation = cfg.representation;
-            options.simd = cfg.simd;
             return std::make_unique<AdmmAlgorithm>(options, cfg.warm_start);
           });
     r.add("central",

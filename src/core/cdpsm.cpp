@@ -15,12 +15,12 @@ namespace {
 /// Thread-local scratch: runs up to 200 times per projection in every
 /// replica's step, so it must not allocate.
 void project_column_capacity(const optim::Problem& problem, std::size_t n,
-                             Matrix& allocation, common::simd::Mode simd) {
+                             Matrix& allocation) {
   thread_local std::vector<double> column;
   column.resize(problem.num_clients());
   for (std::size_t c = 0; c < problem.num_clients(); ++c)
     column[c] = allocation(c, n);
-  optim::project_capped_nonneg(column, problem.replica(n).bandwidth, simd);
+  optim::project_capped_nonneg(column, problem.replica(n).bandwidth);
   for (std::size_t c = 0; c < problem.num_clients(); ++c)
     allocation(c, n) = column[c];
 }
@@ -28,15 +28,14 @@ void project_column_capacity(const optim::Problem& problem, std::size_t n,
 /// Compact counterpart: project column n of a sparse allocation through the
 /// pattern's column view.
 void project_column_capacity(const optim::Problem& problem, std::size_t n,
-                             common::SparseAllocation& allocation,
-                             common::simd::Mode simd) {
+                             common::SparseAllocation& allocation) {
   thread_local std::vector<double> column;
   const auto positions = allocation.pattern().col_positions(n);
   const std::span<double> values = allocation.values();
   column.resize(positions.size());
   for (std::size_t i = 0; i < positions.size(); ++i)
     column[i] = values[positions[i]];
-  optim::project_capped_nonneg(column, problem.replica(n).bandwidth, simd);
+  optim::project_capped_nonneg(column, problem.replica(n).bandwidth);
   for (std::size_t i = 0; i < positions.size(); ++i)
     values[positions[i]] = column[i];
 }
@@ -85,24 +84,24 @@ void CdpsmEngine::project_local(std::size_t n, Matrix& estimate) const {
   corr_capacity.reshape(estimate.rows(), estimate.cols(), 0.0);
   previous = estimate;
   for (std::size_t iter = 0; iter < 200; ++iter) {
-    estimate.axpy(1.0, corr_demand, options_.simd);
+    estimate.axpy(1.0, corr_demand);
     before = estimate;
-    optim::project_demand_set(*problem_, estimate, options_.simd);
+    optim::project_demand_set(*problem_, estimate);
     corr_demand = before;
-    corr_demand.axpy(-1.0, estimate, options_.simd);
+    corr_demand.axpy(-1.0, estimate);
 
-    estimate.axpy(1.0, corr_capacity, options_.simd);
+    estimate.axpy(1.0, corr_capacity);
     before = estimate;
-    project_column_capacity(*problem_, n, estimate, options_.simd);
+    project_column_capacity(*problem_, n, estimate);
     corr_capacity = before;
-    corr_capacity.axpy(-1.0, estimate, options_.simd);
+    corr_capacity.axpy(-1.0, estimate);
 
-    const double change = estimate.distance(previous, options_.simd);
+    const double change = estimate.distance(previous);
     previous = estimate;
     if (change <= 1e-11) break;
   }
   // End on the demand set so row sums are exact.
-  optim::project_demand_set(*problem_, estimate, options_.simd);
+  optim::project_demand_set(*problem_, estimate);
 }
 
 Matrix CdpsmEngine::step_replica(std::size_t n,
@@ -130,25 +129,24 @@ void CdpsmEngine::project_local_sparse(
   previous.assign(values.begin(), values.end());
   before.resize(values.size());
   for (std::size_t iter = 0; iter < 200; ++iter) {
-    common::simd::axpy(options_.simd, values, 1.0, corr_demand);
+    axpy(values, 1.0, corr_demand);
     std::copy(values.begin(), values.end(), before.begin());
-    optim::project_demand_set(*work_, estimate, options_.simd);
+    optim::project_demand_set(*work_, estimate);
     corr_demand.assign(before.begin(), before.end());
-    common::simd::axpy(options_.simd, corr_demand, -1.0, values);
+    axpy(corr_demand, -1.0, values);
 
-    common::simd::axpy(options_.simd, values, 1.0, corr_capacity);
+    axpy(values, 1.0, corr_capacity);
     std::copy(values.begin(), values.end(), before.begin());
-    project_column_capacity(*work_, n, estimate, options_.simd);
+    project_column_capacity(*work_, n, estimate);
     corr_capacity.assign(before.begin(), before.end());
-    common::simd::axpy(options_.simd, corr_capacity, -1.0, values);
+    axpy(corr_capacity, -1.0, values);
 
-    const double change = common::simd::distance(options_.simd, values,
-                                                 previous);
+    const double change = l2_distance(values, previous);
     previous.assign(values.begin(), values.end());
     if (change <= 1e-11) break;
   }
   // End on the demand set so row sums are exact.
-  optim::project_demand_set(*work_, estimate, options_.simd);
+  optim::project_demand_set(*work_, estimate);
 }
 
 void CdpsmEngine::step_replica_into_sparse(
@@ -162,7 +160,7 @@ void CdpsmEngine::step_replica_into_sparse(
   if (out.empty()) out = common::SparseAllocation(work_->sparsity());
   out.fill(0.0);
   for (const common::SparseAllocation& peer : peer_estimates)
-    out.axpy(weight, peer, options_.simd);
+    out.axpy(weight, peer);
 
   // Gradient of the local objective E_n on the feasible entries of column n
   // only — the dense path also steps the latency-masked entries (the
@@ -187,8 +185,7 @@ void CdpsmEngine::step_replica_into_sparse(
     thread_local std::vector<double> pre_projection;
     pre_projection.assign(values.begin(), values.end());
     project_local_sparse(n, out);
-    stats->projection_correction =
-        common::simd::distance(options_.simd, values, pre_projection);
+    stats->projection_correction = l2_distance(values, pre_projection);
     stats->load = out.col_sum(n);
     return;
   }
@@ -208,7 +205,7 @@ void CdpsmEngine::step_replica_into(std::size_t n,
   const double weight = 1.0 / static_cast<double>(peer_estimates.size());
   out.reshape(problem_->num_clients(), problem_->num_replicas(), 0.0);
   for (const Matrix& peer : peer_estimates)
-    out.axpy(weight, peer, options_.simd);
+    out.axpy(weight, peer);
 
   // Gradient of the *local* objective E_n: only column n is non-zero.
   const double load = out.col_sum(n);
@@ -228,7 +225,7 @@ void CdpsmEngine::step_replica_into(std::size_t n,
         std::sqrt(static_cast<double>(problem_->num_clients()));
     const Matrix pre_projection = out;
     project_local(n, out);
-    stats->projection_correction = out.distance(pre_projection, options_.simd);
+    stats->projection_correction = out.distance(pre_projection);
     stats->load = out.col_sum(n);
     return;
   }
@@ -273,15 +270,13 @@ CdpsmRoundStats CdpsmEngine::round() {
   for (std::size_t n = 0; n < replicas; ++n) {
     stats.movement = std::max(
         stats.movement,
-        sparse_
-            ? sparse_estimates_[n].distance(sparse_previous_[n], options_.simd)
-            : estimates_[n].distance(previous_estimates_[n], options_.simd));
+        sparse_ ? sparse_estimates_[n].distance(sparse_previous_[n])
+                : estimates_[n].distance(previous_estimates_[n]));
     for (std::size_t m = n + 1; m < replicas; ++m)
       stats.disagreement = std::max(
           stats.disagreement,
-          sparse_ ? sparse_estimates_[n].distance(sparse_estimates_[m],
-                                                  options_.simd)
-                  : estimates_[n].distance(estimates_[m], options_.simd));
+          sparse_ ? sparse_estimates_[n].distance(sparse_estimates_[m])
+                  : estimates_[n].distance(estimates_[m]));
   }
   stats.bytes_exchanged = bytes_per_replica_round() * replicas;
   messages_exchanged_ += replicas * (replicas - 1);
@@ -305,11 +300,10 @@ CdpsmRoundStats CdpsmEngine::round() {
   movement_metric_.set(stats.movement);
   const bool stable =
       sparse_ ? (sparse_has_last_ &&
-                 sparse_scratch_solution_.distance(
-                     sparse_last_solution_, options_.simd) <=
+                 sparse_scratch_solution_.distance(sparse_last_solution_) <=
                      options_.tolerance * scale)
               : (!last_solution_.empty() &&
-                 scratch_solution_.distance(last_solution_, options_.simd) <=
+                 scratch_solution_.distance(last_solution_) <=
                      options_.tolerance * scale);
   if (stable) {
     if (++stable_rounds_ >= options_.patience) converged_ = true;
@@ -360,7 +354,7 @@ void CdpsmEngine::solution_into(Matrix& out) const {
   const double weight = 1.0 / static_cast<double>(estimates_.size());
   out.reshape(problem_->num_clients(), problem_->num_replicas(), 0.0);
   for (const Matrix& estimate : estimates_)
-    out.axpy(weight, estimate, options_.simd);
+    out.axpy(weight, estimate);
   optim::project_feasible(*problem_, out);
 }
 
@@ -369,7 +363,7 @@ void CdpsmEngine::solution_into_sparse(common::SparseAllocation& out) const {
   const double weight = 1.0 / static_cast<double>(sparse_estimates_.size());
   out.fill(0.0);
   for (const common::SparseAllocation& estimate : sparse_estimates_)
-    out.axpy(weight, estimate, options_.simd);
+    out.axpy(weight, estimate);
   optim::project_feasible(*work_, out);
 }
 

@@ -56,11 +56,6 @@ struct CdpsmOptions {
   /// gradient also steps latency-masked entries before the projection
   /// re-zeroes them; the compact path never materializes them).
   SolverRepresentation representation = SolverRepresentation::kDense;
-  /// Kernel dispatch for the consensus axpy, projection apply loops and
-  /// distance reductions (common/simd.hpp).  kScalar — the default — is the
-  /// byte-pinned golden path; kAuto vectorizes with the running CPU's
-  /// widest ISA at tolerance-level numerical agreement.
-  common::simd::Mode simd = common::simd::Mode::kScalar;
 };
 
 /// Per-round progress of the synchronous driver.

@@ -101,7 +101,10 @@ void LddmEngine::solve_local_inplace(std::size_t n,
   std::swap(columns_[n], solve_scratch_[n]);
   // Running average for primal recovery (Cesàro average of iterates).
   const double k = static_cast<double>(rounds_ + 1);
-  common::simd::cesaro_step(options_.simd, average_[n], columns_[n], k);
+  std::vector<double>& average = average_[n];
+  const std::vector<double>& column = columns_[n];
+  for (std::size_t i = 0; i < average.size(); ++i)
+    average[i] += (column[i] - average[i]) / k;
 }
 
 void LddmEngine::set_multipliers(std::span<const double> mu) {
@@ -165,7 +168,7 @@ LddmRoundStats LddmEngine::round() {
     }
   } else {
     for (std::size_t n = 0; n < replicas; ++n)
-      common::simd::accumulate(options_.simd, served_, columns_[n]);
+      accumulate(served_, columns_[n]);
   }
   for (std::size_t c = 0; c < clients; ++c) {
     update_multiplier(c, served_[c]);
@@ -178,9 +181,8 @@ LddmRoundStats LddmEngine::round() {
     // solve_scratch_[n].  Compact columns hold col_nnz(n) entries, dense
     // ones `clients`; the skipped infeasible entries are exact zeros in
     // dense storage, so the movement norm is identical either way.
-    stats.movement = std::max(
-        stats.movement, common::simd::distance(options_.simd, columns_[n],
-                                               solve_scratch_[n]));
+    stats.movement = std::max(stats.movement,
+                              l2_distance(columns_[n], solve_scratch_[n]));
   }
 
   stats.round = ++rounds_;
@@ -257,11 +259,10 @@ LddmRoundStats LddmEngine::round() {
   const double scale = std::max(problem_->total_demand(), 1.0);
   const bool stable =
       sparse_ ? (sparse_has_last_ &&
-                 sparse_scratch_solution_.distance(
-                     sparse_last_solution_, options_.simd) <=
+                 sparse_scratch_solution_.distance(sparse_last_solution_) <=
                      options_.tolerance * scale)
               : (!last_solution_.empty() &&
-                 scratch_solution_.distance(last_solution_, options_.simd) <=
+                 scratch_solution_.distance(last_solution_) <=
                      options_.tolerance * scale);
   if (stable) {
     if (++stable_rounds_ >= options_.patience) converged_ = true;

@@ -66,10 +66,6 @@ struct LddmOptions {
   /// and solve the maskless subproblem on them; the recovered solution
   /// agrees with the dense one at solver-tolerance level.
   SolverRepresentation representation = SolverRepresentation::kDense;
-  /// Kernel dispatch for the Cesàro average update, the served-load
-  /// accumulation and the recovery projection (common/simd.hpp).  kScalar —
-  /// the default — is the byte-pinned golden path.
-  common::simd::Mode simd = common::simd::Mode::kScalar;
 };
 
 struct LddmRoundStats {

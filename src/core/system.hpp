@@ -26,7 +26,6 @@
 #include "cluster/ring.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "core/admm.hpp"
 #include "core/algorithm.hpp"
 #include "core/cdpsm.hpp"
@@ -120,11 +119,6 @@ struct SystemConfig {
   /// start is a dense-layout feature and is skipped for the compact
   /// representations.
   SolverRepresentation representation = SolverRepresentation::kDense;
-  /// Kernel dispatch for the solver hot loops (common/simd.hpp): kScalar —
-  /// the default — is the byte-pinned golden path (digests identical to the
-  /// historical serial code); kAuto vectorizes with the running CPU's
-  /// widest ISA (SSE2/AVX2+FMA) at tolerance-level numerical agreement.
-  common::simd::Mode simd = common::simd::Mode::kScalar;
   power::PowerModelParams power;
   cluster::RingConfig ring;
   /// Enable the heartbeat ring (off saves events in pure-cost benches).

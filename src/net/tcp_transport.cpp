@@ -57,7 +57,9 @@ std::vector<std::uint8_t> encode_frame(const Message& message) {
   put_u32_at(frame, 4, message.from);
   put_u32_at(frame, 8, message.to);
   put_u32_at(frame, 12, static_cast<std::uint32_t>(message.type));
-  if (payload != nullptr)
+  // An empty vector's data() may be null, which memcpy must not receive
+  // even for a zero-byte copy.
+  if (payload_size != 0)
     std::memcpy(frame.data() + kHeaderBytes, payload->data(), payload_size);
   return frame;
 }

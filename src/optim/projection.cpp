@@ -190,55 +190,51 @@ DykstraResult dykstra(const Problem& problem, Allocation& allocation,
 }  // namespace
 
 void project_masked_simplex(std::span<double> values,
-                            std::span<const double> mask, double target,
-                            common::simd::Mode simd) {
+                            std::span<const double> mask, double target) {
   assert(values.size() == mask.size());
   const double tau = row_threshold<true>(values, mask, target,
                                          active_scratch(values.size()));
-  common::simd::masked_sub_clamp(simd, values, mask, tau);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    values[i] = mask[i] != 0.0 ? std::max(values[i] - tau, 0.0) : 0.0;
 }
 
-void project_simplex(std::span<double> values, double target,
-                     common::simd::Mode simd) {
-  project_simplex_active(values, target, simd);
-}
-
-void project_simplex_active(std::span<double> values, double target,
-                            common::simd::Mode simd) {
+void project_simplex(std::span<double> values, double target) {
   const double tau = row_threshold<false>(values, {}, target,
                                           active_scratch(values.size()));
-  common::simd::sub_clamp(simd, values, tau);
+  for (double& v : values) v = std::max(v - tau, 0.0);
 }
 
-void project_capped_nonneg(std::span<double> values, double cap,
-                           common::simd::Mode simd) {
-  const double total = common::simd::clip_nonneg_sum(simd, values);
+void project_capped_nonneg(std::span<double> values, double cap) {
+  double total = 0.0;
+  for (double& v : values) {
+    v = std::max(v, 0.0);
+    total += v;
+  }
   if (total <= cap) return;
-  project_simplex(values, cap, simd);
+  project_simplex(values, cap);
 }
 
-void project_demand_set(const Problem& problem, Matrix& allocation,
-                        common::simd::Mode simd) {
+void project_demand_set(const Problem& problem, Matrix& allocation) {
   double* const active = active_scratch(problem.num_replicas());
   for (std::size_t c = 0; c < problem.num_clients(); ++c) {
     const std::span<double> row = allocation.row(c);
     const std::span<const double> mask = problem.feasible_row(c);
     const double tau =
         row_threshold<true>(row, mask, problem.demand(c), active);
-    common::simd::masked_sub_clamp(simd, row, mask, tau);
+    for (std::size_t i = 0; i < row.size(); ++i)
+      row[i] = mask[i] != 0.0 ? std::max(row[i] - tau, 0.0) : 0.0;
   }
 }
 
 void project_demand_set(const Problem& problem,
-                        common::SparseAllocation& allocation,
-                        common::simd::Mode simd) {
+                        common::SparseAllocation& allocation) {
   assert(allocation.pattern_ptr().get() == problem.sparsity().get());
   double* const active = active_scratch(problem.num_replicas());
   for (std::size_t c = 0; c < problem.num_clients(); ++c) {
     const std::span<double> row = allocation.row(c);
     const double tau =
         row_threshold<false>(row, {}, problem.demand(c), active);
-    common::simd::sub_clamp(simd, row, tau);
+    for (double& v : row) v = std::max(v - tau, 0.0);
   }
 }
 

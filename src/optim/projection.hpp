@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/matrix.hpp"
-#include "common/simd.hpp"
 #include "common/sparse.hpp"
 
 namespace edr::optim {
@@ -31,50 +30,33 @@ class Problem;
 /// to zero).  `target` must be ≥ 0 and the mask must have at least one active
 /// coordinate when target > 0.  O(k log k) via the sort-and-threshold method
 /// of Held/Wolfe/Crowder.
-/// The factor projections take a SIMD dispatch mode for their apply/clip
-/// loops; kScalar (the default everywhere) is the byte-pinned golden path
-/// and kAuto vectorizes the element-wise steps (see common/simd.hpp for the
-/// exactness contract — the apply loops are bitwise mode-independent, the
-/// capped projection's cap test uses a reduction and is tolerance-level).
-void project_masked_simplex(
-    std::span<double> values, std::span<const double> mask, double target,
-    common::simd::Mode simd = common::simd::Mode::kScalar);
+void project_masked_simplex(std::span<double> values,
+                            std::span<const double> mask, double target);
 
-/// Project `values` in place onto the simplex {x ≥ 0, Σx = target}.
-void project_simplex(std::span<double> values, double target,
-                     common::simd::Mode simd = common::simd::Mode::kScalar);
-
-/// Maskless compact form: every coordinate of `values` is active.  This is
-/// the projection the sparse paths use on a row's feasible slice; it is
-/// bitwise identical to project_masked_simplex on the dense row (the mask
-/// gather visits the feasible coordinates in the same order, so the sorted
-/// active vector — and therefore τ — is the same).  Throws like the masked
-/// form when target > 0 with no coordinates.
-void project_simplex_active(
-    std::span<double> values, double target,
-    common::simd::Mode simd = common::simd::Mode::kScalar);
+/// Project `values` in place onto the simplex {x ≥ 0, Σx = target}: the
+/// maskless form, every coordinate active.  This is the projection the
+/// sparse paths use on a row's feasible slice; it is bitwise identical to
+/// project_masked_simplex on the dense row (the mask gather visits the
+/// feasible coordinates in the same order, so the sorted active vector — and
+/// therefore τ — is the same).  Throws like the masked form when target > 0
+/// with no coordinates.
+void project_simplex(std::span<double> values, double target);
 
 /// Project `values` in place onto {x ≥ 0, Σx ≤ cap}: clip to the nonnegative
 /// orthant, then fall back to a simplex projection only if the cap binds.
-void project_capped_nonneg(std::span<double> values, double cap,
-                           common::simd::Mode simd =
-                               common::simd::Mode::kScalar);
+void project_capped_nonneg(std::span<double> values, double cap);
 
 /// Project `allocation` in place onto the demand set A (per-client masked
 /// simplices) of `problem`.
-void project_demand_set(const Problem& problem, Matrix& allocation,
-                        common::simd::Mode simd =
-                            common::simd::Mode::kScalar);
+void project_demand_set(const Problem& problem, Matrix& allocation);
 
 /// Sparse variant: the compact value slices already enumerate exactly the
-/// feasible coordinates, so it runs the maskless compact simplex per client
-/// row.  It matches the dense masked projection bitwise when the dense
-/// allocation carries exact zeros on infeasible pairs.  The allocation's
-/// pattern must be `problem.sparsity()`.
+/// feasible coordinates, so it runs the maskless simplex per client row.  It
+/// matches the dense masked projection bitwise when the dense allocation
+/// carries exact zeros on infeasible pairs.  The allocation's pattern must be
+/// `problem.sparsity()`.
 void project_demand_set(const Problem& problem,
-                        common::SparseAllocation& allocation,
-                        common::simd::Mode simd =
-                            common::simd::Mode::kScalar);
+                        common::SparseAllocation& allocation);
 
 /// Options for Dykstra's alternating projections.
 struct DykstraOptions {

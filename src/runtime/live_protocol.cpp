@@ -102,7 +102,6 @@ core::SystemConfig LiveConfig::to_system_config() const {
   cfg.retry_shed = retry_shed;
   cfg.max_retries = max_retries;
   cfg.representation = representation;
-  cfg.simd = simd;
   cfg.power = power;
   cfg.power_per_replica = power_per_replica;
   cfg.cdpsm = cdpsm;
@@ -209,7 +208,6 @@ net::Message encode_config(net::NodeId from, net::NodeId to,
   w.put_u8(config.retry_shed ? 1 : 0);
   w.put_u32(config.max_retries);
   w.put_u8(static_cast<std::uint8_t>(config.representation));
-  w.put_u8(static_cast<std::uint8_t>(config.simd));
   w.put_u64(config.seed);
   w.put_u32(static_cast<std::uint32_t>(config.replicas.size()));
   for (const auto& p : config.replicas) {
@@ -274,10 +272,6 @@ LiveConfig decode_config(const net::Message& msg,
     throw std::out_of_range{"live: unknown solver representation"};
   config.representation =
       static_cast<core::SolverRepresentation>(representation);
-  const std::uint8_t simd = r.get_u8();
-  if (simd > static_cast<std::uint8_t>(common::simd::Mode::kAuto))
-    throw std::out_of_range{"live: unknown simd mode"};
-  config.simd = static_cast<common::simd::Mode>(simd);
   config.seed = r.get_u64();
   const std::uint32_t num_replicas = r.get_u32();
   if (std::size_t{num_replicas} * 40 > max_frame_bytes)

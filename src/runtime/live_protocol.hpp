@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/matrix.hpp"
-#include "common/simd.hpp"
 #include "core/admm.hpp"
 #include "core/cdpsm.hpp"
 #include "core/lddm.hpp"
@@ -88,11 +87,6 @@ struct LiveConfig {
   /// replica must use the same representation or round digests diverge.
   core::SolverRepresentation representation =
       core::SolverRepresentation::kDense;
-  /// Kernel dispatch (see SystemConfig::simd).  Shipped on the wire for the
-  /// same reason as the representation: kAuto results depend on the host's
-  /// widest ISA, so a mixed-ISA cluster must pin kScalar (or accept the
-  /// coordinator's digest checks flagging the divergence).
-  common::simd::Mode simd = common::simd::Mode::kScalar;
   std::uint64_t seed = 1;
   std::vector<optim::ReplicaParams> replicas;
   Matrix latency;  ///< clients x replicas, ms

@@ -15,13 +15,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "analysis/experiments.hpp"
 #include "analysis/report_json.hpp"
 #include "baselines/donar_system.hpp"
-#include "common/simd.hpp"
 #include "optim/instance.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -87,17 +87,19 @@ constexpr EdrGolden kEdrGoldens[] = {
      0x670508e01e38a6f5ull},
 };
 
+// Prints "<algorithm>,<record_traces as 0|1>".  Without it gtest prints the
+// struct's raw bytes into each test name, and the leading `algorithm`
+// pointer makes those bytes depend on the build.
+void PrintTo(const EdrGolden& golden, std::ostream* os) {
+  *os << golden.algorithm << ',' << (golden.record_traces ? 1 : 0);
+}
+
 class GoldenEquivalence : public ::testing::TestWithParam<EdrGolden> {};
 
 TEST_P(GoldenEquivalence, RunReportAndTelemetryAreByteIdentical) {
   const EdrGolden& golden = GetParam();
   auto cfg = analysis::paper_config(golden.algorithm, 7);
   cfg.record_traces = golden.record_traces;
-  // The digests predate the SIMD kernel layer; simd=scalar is pinned
-  // explicitly (not left to the SystemConfig default) because its whole
-  // contract is that routing the hot loops through common/simd.hpp with
-  // Mode::kScalar changes ZERO observable bits.
-  cfg.simd = common::simd::Mode::kScalar;
   cfg.telemetry = telemetry::make_telemetry();
   core::EdrSystem system(
       cfg, analysis::paper_trace(workload::distributed_file_service(), 42,

@@ -29,8 +29,7 @@ double vec_sum(std::span<const double> v) {
 // over full-size snapshot and correction buffers, a per-row mask rebuild,
 // and std::ranges::sort in the threshold.  Copied verbatim apart from the
 // namespace (qualified where argument-dependent lookup would also find the
-// library's overloads) and the dispatch mode, which the reference Dykstra
-// pins to kScalar (its golden path).
+// library's overloads).
 namespace reference {
 
 double simplex_threshold(std::vector<double>& active, double target) {
@@ -63,8 +62,7 @@ std::vector<double>& column_scratch() {
 }
 
 void project_masked_simplex(std::span<double> values,
-                            std::span<const double> mask, double target,
-                            common::simd::Mode simd) {
+                            std::span<const double> mask, double target) {
   assert(values.size() == mask.size());
   if (target < 0.0)
     throw std::invalid_argument("project_masked_simplex: negative target");
@@ -84,64 +82,59 @@ void project_masked_simplex(std::span<double> values,
   }
 
   const double tau = simplex_threshold(active, target);
-  common::simd::masked_sub_clamp(simd, values, mask, tau);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    values[i] = mask[i] != 0.0 ? std::max(values[i] - tau, 0.0) : 0.0;
 }
 
-void project_simplex_active(std::span<double> values, double target,
-                            common::simd::Mode simd) {
+void project_simplex(std::span<double> values, double target) {
   if (target < 0.0)
-    throw std::invalid_argument("project_simplex_active: negative target");
+    throw std::invalid_argument("project_simplex: negative target");
 
   if (values.empty()) {
     if (target > 0.0)
       throw std::invalid_argument(
-          "project_simplex_active: positive target with no coordinates");
+          "project_simplex: positive target with no coordinates");
     return;
   }
 
   std::vector<double>& active = active_scratch();
   active.assign(values.begin(), values.end());
   const double tau = simplex_threshold(active, target);
-  common::simd::sub_clamp(simd, values, tau);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    values[i] = std::max(values[i] - tau, 0.0);
 }
 
-void project_simplex(std::span<double> values, double target,
-                     common::simd::Mode simd) {
-  project_simplex_active(values, target, simd);
-}
-
-void project_capped_nonneg(std::span<double> values, double cap,
-                           common::simd::Mode simd) {
-  const double total = common::simd::clip_nonneg_sum(simd, values);
+void project_capped_nonneg(std::span<double> values, double cap) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = std::max(values[i], 0.0);
+    total += values[i];
+  }
   if (total <= cap) return;
-  project_simplex(values, cap, simd);
+  project_simplex(values, cap);
 }
 
-void project_demand_set(const Problem& problem, Matrix& allocation,
-                        common::simd::Mode simd) {
+void project_demand_set(const Problem& problem, Matrix& allocation) {
   std::vector<double>& mask = row_mask_scratch();
   mask.resize(problem.num_replicas());
   for (std::size_t c = 0; c < problem.num_clients(); ++c) {
     for (std::size_t n = 0; n < problem.num_replicas(); ++n)
       mask[n] = problem.feasible_pair(c, n) ? 1.0 : 0.0;
-    project_masked_simplex(allocation.row(c), mask, problem.demand(c), simd);
+    project_masked_simplex(allocation.row(c), mask, problem.demand(c));
   }
 }
 
-void project_capacity_set(const Problem& problem, Matrix& allocation,
-                          common::simd::Mode simd) {
+void project_capacity_set(const Problem& problem, Matrix& allocation) {
   std::vector<double>& column = column_scratch();
   column.resize(problem.num_clients());
   for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
     for (std::size_t c = 0; c < problem.num_clients(); ++c)
       column[c] = allocation(c, n);
-    project_capped_nonneg(column, problem.replica(n).bandwidth, simd);
+    project_capped_nonneg(column, problem.replica(n).bandwidth);
     for (std::size_t c = 0; c < problem.num_clients(); ++c)
       allocation(c, n) = column[c];
   }
 }
-
-constexpr common::simd::Mode kSimd = common::simd::Mode::kScalar;
 
 DykstraResult project_feasible(const Problem& problem, Matrix& allocation,
                                const DykstraOptions& options) {
@@ -155,20 +148,20 @@ DykstraResult project_feasible(const Problem& problem, Matrix& allocation,
 
   DykstraResult result;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    allocation.axpy(1.0, correction_demand, kSimd);
+    allocation.axpy(1.0, correction_demand);
     before = allocation;
-    reference::project_demand_set(problem, allocation, kSimd);
+    reference::project_demand_set(problem, allocation);
     correction_demand = before;
-    correction_demand.axpy(-1.0, allocation, kSimd);
+    correction_demand.axpy(-1.0, allocation);
 
-    allocation.axpy(1.0, correction_capacity, kSimd);
+    allocation.axpy(1.0, correction_capacity);
     before = allocation;
-    project_capacity_set(problem, allocation, kSimd);
+    project_capacity_set(problem, allocation);
     correction_capacity = before;
-    correction_capacity.axpy(-1.0, allocation, kSimd);
+    correction_capacity.axpy(-1.0, allocation);
 
     result.iterations = iter + 1;
-    result.final_change = allocation.distance(previous, kSimd);
+    result.final_change = allocation.distance(previous);
     previous = allocation;
     if (result.final_change <= options.tolerance) {
       if (check_feasibility(problem, allocation).ok(1e-7)) {
@@ -177,7 +170,7 @@ DykstraResult project_feasible(const Problem& problem, Matrix& allocation,
       }
     }
   }
-  reference::project_demand_set(problem, allocation, kSimd);
+  reference::project_demand_set(problem, allocation);
   if (!result.converged)
     result.capacity_residual =
         check_feasibility(problem, allocation).max_capacity_violation;
@@ -185,15 +178,13 @@ DykstraResult project_feasible(const Problem& problem, Matrix& allocation,
 }
 
 void project_demand_set(const Problem& problem,
-                        common::SparseAllocation& allocation,
-                        common::simd::Mode simd) {
+                        common::SparseAllocation& allocation) {
   for (std::size_t c = 0; c < problem.num_clients(); ++c)
-    project_simplex_active(allocation.row(c), problem.demand(c), simd);
+    reference::project_simplex(allocation.row(c), problem.demand(c));
 }
 
 void project_capacity_set(const Problem& problem,
-                          common::SparseAllocation& allocation,
-                          common::simd::Mode simd) {
+                          common::SparseAllocation& allocation) {
   const common::SparsityPattern& pattern = allocation.pattern();
   std::vector<double>& column = column_scratch();
   const std::span<double> values = allocation.values();
@@ -202,7 +193,7 @@ void project_capacity_set(const Problem& problem,
     column.resize(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i)
       column[i] = values[positions[i]];
-    project_capped_nonneg(column, problem.replica(n).bandwidth, simd);
+    project_capped_nonneg(column, problem.replica(n).bandwidth);
     for (std::size_t i = 0; i < positions.size(); ++i)
       values[positions[i]] = column[i];
   }
@@ -223,20 +214,20 @@ DykstraResult project_feasible(const Problem& problem,
 
   DykstraResult result;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    common::simd::axpy(kSimd, values, 1.0, correction_demand);
+    edr::axpy(values, 1.0, correction_demand);
     std::copy(values.begin(), values.end(), before.begin());
-    reference::project_demand_set(problem, allocation, kSimd);
+    reference::project_demand_set(problem, allocation);
     correction_demand.assign(before.begin(), before.end());
-    common::simd::axpy(kSimd, correction_demand, -1.0, values);
+    edr::axpy(correction_demand, -1.0, values);
 
-    common::simd::axpy(kSimd, values, 1.0, correction_capacity);
+    edr::axpy(values, 1.0, correction_capacity);
     std::copy(values.begin(), values.end(), before.begin());
-    project_capacity_set(problem, allocation, kSimd);
+    project_capacity_set(problem, allocation);
     correction_capacity.assign(before.begin(), before.end());
-    common::simd::axpy(kSimd, correction_capacity, -1.0, values);
+    edr::axpy(correction_capacity, -1.0, values);
 
     result.iterations = iter + 1;
-    result.final_change = common::simd::distance(kSimd, values, previous);
+    result.final_change = l2_distance(values, previous);
     previous.assign(values.begin(), values.end());
     if (result.final_change <= options.tolerance) {
       if (check_feasibility(problem, allocation).ok(1e-7)) {
@@ -245,7 +236,7 @@ DykstraResult project_feasible(const Problem& problem,
       }
     }
   }
-  reference::project_demand_set(problem, allocation, kSimd);
+  reference::project_demand_set(problem, allocation);
   if (!result.converged)
     result.capacity_residual =
         check_feasibility(problem, allocation).max_capacity_violation;
@@ -528,7 +519,7 @@ TEST(ActiveSimplexProjection, MatchesMaskedProjectionBitwise) {
     }
     const double target = active == 0 ? 0.0 : rng.uniform(0.0, 25.0);
     project_masked_simplex(dense, mask, target);
-    project_simplex_active(compact, target);
+    project_simplex(compact, target);
     std::size_t k = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (mask[i] == 0.0) {
@@ -543,9 +534,9 @@ TEST(ActiveSimplexProjection, MatchesMaskedProjectionBitwise) {
 
 TEST(ActiveSimplexProjection, ThrowsLikeMaskedForm) {
   std::vector<double> empty;
-  EXPECT_THROW(project_simplex_active(empty, 1.0), std::invalid_argument);
+  EXPECT_THROW(project_simplex(empty, 1.0), std::invalid_argument);
   std::vector<double> v{1.0};
-  EXPECT_THROW(project_simplex_active(v, -0.5), std::invalid_argument);
+  EXPECT_THROW(project_simplex(v, -0.5), std::invalid_argument);
 }
 
 // The sparse demand projection and sparse Dykstra must reproduce the dense
@@ -607,15 +598,13 @@ double edgy_value(Rng& rng, double scale) {
   }
 }
 
-// The row kernel behind project_masked_simplex / project_simplex_active is
-// bit-identical to the sort-and-threshold plus apply it replaced, in both
-// dispatch modes, for rows short enough to insertion-sort and longer ones.
+// The row kernel behind project_masked_simplex / project_simplex is
+// bit-identical to the sort-and-threshold plus apply it replaced, for rows
+// short enough to insertion-sort and longer ones.
 TEST(FusedDykstra, RowKernelMatchesReferenceBitwise) {
   Rng rng{5150};
   for (int trial = 0; trial < 4000; ++trial) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(1, 40));
-    const auto mode = trial % 2 == 0 ? common::simd::Mode::kScalar
-                                     : common::simd::Mode::kAuto;
     std::vector<double> values(n), mask(n);
     std::size_t active = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -628,15 +617,15 @@ TEST(FusedDykstra, RowKernelMatchesReferenceBitwise) {
 
     std::vector<double> got = values;
     std::vector<double> want = values;
-    project_masked_simplex(got, mask, target, mode);
-    reference::project_masked_simplex(want, mask, target, mode);
+    project_masked_simplex(got, mask, target);
+    reference::project_masked_simplex(want, mask, target);
     EXPECT_TRUE(same_bits(got, want)) << "masked, trial " << trial;
 
     got = values;
     want = values;
-    project_simplex_active(got, target, mode);
-    reference::project_simplex_active(want, target, mode);
-    EXPECT_TRUE(same_bits(got, want)) << "active, trial " << trial;
+    project_simplex(got, target);
+    reference::project_simplex(want, target);
+    EXPECT_TRUE(same_bits(got, want)) << "simplex, trial " << trial;
   }
 }
 
