@@ -72,8 +72,9 @@ inline void record_metric(std::string name, double value,
 /// Per-binary boilerplate, hoisted: prints the banner, strips
 /// --telemetry-out=<path> and --json-out[=<path>] from argv
 /// (google-benchmark rejects flags it does not know), hands the rest to
-/// benchmark::Initialize, and on destruction exports the telemetry and the
-/// recorded JSON metrics (when requested) and shuts benchmark down.
+/// benchmark::Initialize, exits 2 on any flag neither of them knows, and
+/// on destruction exports the telemetry and the recorded JSON metrics (when
+/// requested) and shuts benchmark down.
 /// --json-out without a path writes BENCH_<binary-name>.json in the working
 /// directory, so CI can archive one artifact per bench.
 ///
@@ -145,6 +146,9 @@ class Harness {
     if (!telemetry_path_.empty())
       shared_telemetry() = telemetry::make_telemetry();
     benchmark::Initialize(&argc, argv);
+    // Whatever is left is no flag of the Harness or of google-benchmark:
+    // reject it, as edr_sim and edr_live do, instead of running without it.
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) std::exit(2);
   }
 
   ~Harness() {

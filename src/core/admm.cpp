@@ -40,6 +40,7 @@ AdmmEngine::AdmmEngine(const optim::Problem& problem, AdmmOptions options)
   const std::size_t clients = work_->num_clients();
   const std::size_t replicas = work_->num_replicas();
   zero_mu_.assign(clients, 0.0);
+  unit_weights_.assign(clients, 1.0);
   prox_scratch_.resize(replicas);
   column_scratch_.resize(replicas);
   if (sparse_) {
@@ -109,10 +110,13 @@ void AdmmEngine::solve_replica_sparse(std::size_t n) {
   std::vector<double>& prox = prox_scratch_[n];
   for (std::size_t i = 0; i < positions.size(); ++i)
     prox[i] = z_values[positions[i]] - u_values[positions[i]];
-  optim::solve_replica_subproblem_into(
+  // Unit weights: the x-update solves the unweighted prox step per entry,
+  // class entries included.
+  optim::solve_weighted_subproblem_into(
       work_->replica(n),
-      std::span<const double>(zero_mu_.data(), positions.size()), prox, rho_,
-      column_scratch_[n]);
+      std::span<const double>(zero_mu_.data(), positions.size()),
+      std::span<const double>(unit_weights_.data(), positions.size()), prox,
+      rho_, column_scratch_[n]);
   const std::span<double> x_values = sparse_x_.values();
   for (std::size_t i = 0; i < positions.size(); ++i)
     x_values[positions[i]] = column_scratch_[n][i];

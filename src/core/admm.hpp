@@ -216,9 +216,10 @@ class AdmmEngine {
   // center z_n − u_n and the subproblem output column.
   std::vector<std::vector<double>> prox_scratch_;
   std::vector<std::vector<double>> column_scratch_;
-  // Shared all-zeros multiplier vector the x-update passes to the LDDM
-  // subproblem kernel (read-only).
+  // Shared all-zeros multiplier vector and all-ones weight vector the
+  // x-update passes to the LDDM subproblem kernel (read-only).
   std::vector<double> zero_mu_;
+  std::vector<double> unit_weights_;
   // Recovered solution double buffer for observability (same convention as
   // the other engines).
   Matrix scratch_solution_;

@@ -30,6 +30,16 @@ bool observability_enabled(const EpochContext& ctx) {
          (ctx.telemetry->flight_recorder() != nullptr ||
           ctx.telemetry->monitor() != nullptr);
 }
+
+/// Reports replica column `col` sends per round, as plan_round schedules
+/// them: one per client in dense storage, one per feasible entry of the
+/// work problem (client or class) in compact storage.
+std::size_t replica_reports(SolverRepresentation representation,
+                            const optim::Problem& work, std::size_t col) {
+  return representation == SolverRepresentation::kDense
+             ? work.num_clients()
+             : work.sparsity()->col_nnz(col);
+}
 }  // namespace
 
 CdpsmAlgorithm::CdpsmAlgorithm(CdpsmOptions options)
@@ -231,7 +241,8 @@ void LddmAlgorithm::observe(const EpochContext& ctx,
         ctx.problem->replica(col).bandwidth - stats.load;
     sample.load = stats.load;
     sample.load_delta = stats.load_delta;
-    sample.messages_sent = ctx.problem->num_clients();
+    sample.messages_sent =
+        replica_reports(options_.representation, engine_->work_problem(), col);
     sample.bytes_sent = bytes;
     out.push_back(sample);
   }
@@ -375,7 +386,8 @@ void AdmmAlgorithm::observe(const EpochContext& ctx,
         ctx.problem->replica(col).bandwidth - stats.load;
     sample.load = stats.load;
     sample.load_delta = stats.load_delta;
-    sample.messages_sent = ctx.problem->num_clients();
+    sample.messages_sent =
+        replica_reports(options_.representation, engine_->work_problem(), col);
     sample.bytes_sent = bytes;
     out.push_back(sample);
   }

@@ -50,6 +50,15 @@ LddmEngine::LddmEngine(const optim::Problem& problem, LddmOptions options)
     mu_.assign(clients, options_.initial_mu);
   }
 
+  // Class sizes: an aggregated entry stands for its member clients, so its
+  // prox step and dual step are scaled to move the class's mass as fast as
+  // the dense iteration moves its members (DESIGN.md §12).
+  weights_.assign(clients, 1.0);
+  if (aggregation_ != nullptr) {
+    weights_.assign(clients, 0.0);
+    for (const std::uint32_t k : aggregation_->class_of) weights_[k] += 1.0;
+  }
+
   if (sparse_) {
     // Compact columns: one entry per feasible client, in the pattern's
     // ascending-row column order.  No masks — infeasible entries don't
@@ -59,12 +68,16 @@ LddmEngine::LddmEngine(const optim::Problem& problem, LddmOptions options)
     average_.resize(replicas);
     solve_scratch_.resize(replicas);
     mu_gather_.resize(replicas);
+    weight_gather_.resize(replicas);
     for (std::size_t n = 0; n < replicas; ++n) {
-      const std::size_t size = pattern.col_nnz(n);
-      columns_[n].assign(size, 0.0);
-      average_[n].assign(size, 0.0);
-      solve_scratch_[n].assign(size, 0.0);
-      mu_gather_[n].assign(size, 0.0);
+      const auto rows = pattern.col_rows(n);
+      columns_[n].assign(rows.size(), 0.0);
+      average_[n].assign(rows.size(), 0.0);
+      solve_scratch_[n].assign(rows.size(), 0.0);
+      mu_gather_[n].assign(rows.size(), 0.0);
+      weight_gather_[n].resize(rows.size());
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        weight_gather_[n][i] = weights_[rows[i]];
     }
   } else {
     columns_.assign(replicas, std::vector<double>(clients, 0.0));
@@ -85,14 +98,14 @@ void LddmEngine::solve_local_inplace(std::size_t n,
   // allocation-free after the first round.
   if (sparse_) {
     // Gather the multipliers of this replica's feasible clients and run the
-    // maskless compact subproblem.
+    // maskless weighted subproblem.
     const auto rows = work_->sparsity()->col_rows(n);
     std::vector<double>& gathered = mu_gather_[n];
     for (std::size_t i = 0; i < rows.size(); ++i)
       gathered[i] = multipliers[rows[i]];
-    optim::solve_replica_subproblem_into(work_->replica(n), gathered,
-                                         columns_[n], options_.rho,
-                                         solve_scratch_[n]);
+    optim::solve_weighted_subproblem_into(work_->replica(n), gathered,
+                                          weight_gather_[n], columns_[n],
+                                          options_.rho, solve_scratch_[n]);
   } else {
     optim::solve_replica_subproblem_into(problem_->replica(n), multipliers,
                                          masks_[n], columns_[n], options_.rho,
@@ -136,7 +149,7 @@ void LddmEngine::set_column_state(std::size_t n,
 }
 
 double LddmEngine::update_multiplier(std::size_t c, double total_served) {
-  mu_[c] += mu_step_ * (total_served - work_->demand(c));
+  mu_[c] += mu_step_ * (total_served - work_->demand(c)) / weights_[c];
   return mu_[c];
 }
 

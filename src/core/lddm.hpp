@@ -10,6 +10,9 @@
 //   2. each client updates its multiplier by dual gradient ascent
 //        μ_c ← μ_c + t · (Σ_n p_{c,n} − R_c)
 //      and sends the new value back to the replicas.
+// Under kAggregated a client class of w_c members stands in for them: its
+// prox step and its dual step are scaled by w_c, so the class moves as
+// fast as the dense iteration moves its members (DESIGN.md §12).
 // Coordination is client↔replica only — no replica↔replica traffic — which
 // is the O(|C|·|N|) per-round communication the paper credits LDDM with.
 //
@@ -63,8 +66,11 @@ struct LddmOptions {
   /// Iterate storage (see core/representation.hpp).  kDense is the golden
   /// path, byte-identical to the historical behavior.  kSparse/kAggregated
   /// keep the per-replica columns compact (one entry per feasible client)
-  /// and solve the maskless subproblem on them; the recovered solution
-  /// agrees with the dense one at solver-tolerance level.
+  /// and solve the maskless weighted subproblem on them.  kSparse is
+  /// aggregation with singleton classes (every weight 1) and runs the dense
+  /// iteration bit for bit on the feasible pairs.  kAggregated weighs each
+  /// class entry by its member count, so on classes of equal-demand clients
+  /// its per-round column sums follow the dense ones up to rounding.
   SolverRepresentation representation = SolverRepresentation::kDense;
 };
 
@@ -94,7 +100,11 @@ class LddmEngine {
   /// --- per-role steps (used by the simulator agents) ---
 
   /// Client-side dual update given the loads each replica reported for
-  /// client c.  Returns the new μ_c.
+  /// work-problem client c: μ_c += t·(served − R_c)/w_c, where w_c is the
+  /// number of clients c stands for (its class size under kAggregated, else
+  /// 1).  A class's residual is the sum of its members' residuals, so this
+  /// is the step each member takes in the dense iteration.  Returns the new
+  /// μ_c.
   double update_multiplier(std::size_t c, double total_served);
 
   [[nodiscard]] const std::vector<double>& multipliers() const { return mu_; }
@@ -210,9 +220,14 @@ class LddmEngine {
   std::vector<std::vector<double>> columns_;
   std::vector<std::vector<double>> average_;   // running primal average
   std::vector<std::vector<double>> masks_;     // per replica feasibility
+  // Class size per work-problem client (1 unless aggregating); the dual
+  // step divides by it.
+  std::vector<double> weights_;
   // Sparse-path scratch: per-replica compact gather of μ (the subproblem
-  // reads the multipliers of its feasible clients only).
+  // reads the multipliers of its feasible clients only), and the weights in
+  // the same col_rows order, gathered once at construction.
   std::vector<std::vector<double>> mu_gather_;
+  std::vector<std::vector<double>> weight_gather_;
   // Round scratch, reused across rounds so the hot loop stays off the heap:
   // per-replica subproblem output buffers (swapped into columns_, so after
   // a round they hold the previous columns for the movement stat), the

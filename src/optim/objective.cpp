@@ -20,18 +20,18 @@ constexpr double kBracketFraction = 1.0 / 16.0;
 constexpr int kMaxNewtonSteps = 64;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// s(t) = Σ_c q_c(t) and the number of positive q_c(t): around t, s falls
-/// with slope −active/ρ.
+/// s(t) = Σ_c q_c(t) and the total weight of the positive q_c(t): around
+/// t, s falls with slope −active/ρ.
 struct Sample {
   double t = 0.0;
   double load = 0.0;
-  std::size_t active = 0;
+  double active = 0.0;
 };
 
 /// What the search has learned about a nondecreasing f: `below` is the
 /// largest evaluated t with f(t) ≤ 0, `above` the smallest with f(t) > 0.
 struct Bracket {
-  Sample below{-kInf, 0.0, 0};
+  Sample below{-kInf, 0.0, 0.0};
   double above = kInf;
 
   void record(const Sample& x, double f) {
@@ -50,34 +50,36 @@ struct Point {
 };
 
 /// Load sweeps over one column and the bisection-exact root search.
-/// kMasked selects between the dense form (mask[c] == 0 forces q_c = 0) and
-/// the compact form (every coordinate active; `mask` is ignored and may be
-/// empty).
+/// kMasked selects between the dense form (mask[c] == 0 forces q_c = 0,
+/// every weight is 1) and the compact weighted form (every coordinate
+/// active, entry c weighs w_c).  `entry` is the mask or the weights.
 template <bool kMasked>
 class ColumnSearch {
  public:
   ColumnSearch(const ReplicaParams& params, std::span<const double> multipliers,
-               std::span<const double> mask,
+               std::span<const double> entry,
                std::span<const double> prox_center, double rho)
       : params_(params),
         multipliers_(multipliers),
-        mask_(mask),
+        entry_(entry),
         prox_center_(prox_center),
         rho_(rho) {}
 
-  /// One load sweep: s(t) and its active count, writing q(t) to `out` when
-  /// given.  G costs nothing beyond s, so every sweep narrows its bracket.
+  /// One load sweep: s(t) and its active weight, writing q(t) to `out`
+  /// when given.  G costs nothing beyond s, so every sweep narrows its
+  /// bracket.
   Sample sweep(double t, double* out = nullptr) {
     ++sweeps_;
     double total = 0.0;
-    std::size_t active = 0;
+    double active = 0.0;
     for (std::size_t c = 0; c < multipliers_.size(); ++c) {
+      const double w = kMasked ? 1.0 : entry_[c];
       double q = 0.0;
-      if (!kMasked || mask_[c] != 0.0)
-        q = std::max(0.0, prox_center_[c] - (multipliers_[c] + t) / rho_);
+      if (!kMasked || entry_[c] != 0.0)
+        q = std::max(0.0, prox_center_[c] - w * (multipliers_[c] + t) / rho_);
       if (out) out[c] = q;
       total += q;
-      active += q > 0.0 ? 1 : 0;
+      active += q > 0.0 ? w : 0.0;
     }
     const Sample x{t, total, active};
     capacity_.record(x, params_.bandwidth - total);
@@ -147,21 +149,22 @@ class ColumnSearch {
  private:
   const ReplicaParams& params_;
   std::span<const double> multipliers_;
-  std::span<const double> mask_;
+  std::span<const double> entry_;
   std::span<const double> prox_center_;
   double rho_;
   Bracket capacity_;
   std::size_t sweeps_ = 0;
 };
 
+/// `entry` is the mask (kMasked) or the per-entry weights (compact form).
 template <bool kMasked>
 SubproblemInfo solve_subproblem_impl(const ReplicaParams& params,
                                      std::span<const double> multipliers,
-                                     std::span<const double> mask,
+                                     std::span<const double> entry,
                                      std::span<const double> prox_center,
                                      double rho,
                                      std::vector<double>& allocation) {
-  assert(!kMasked || multipliers.size() == mask.size());
+  assert(multipliers.size() == entry.size());
   assert(multipliers.size() == prox_center.size());
   assert(allocation.empty() || allocation.data() != prox_center.data());
   if (rho <= 0.0)
@@ -179,21 +182,23 @@ SubproblemInfo solve_subproblem_impl(const ReplicaParams& params,
   // F(t) = t − φ'(0) > 0 for t > φ'(0).
   const double t_lo = replica_cost_derivative(params, 0.0);
   double t_hi = t_lo + 1.0;
-  for (std::size_t c = 0; c < clients; ++c)
-    if (!kMasked || mask[c] != 0.0)
-      t_hi = std::max(t_hi, rho * prox_center[c] - multipliers[c] + 1.0);
+  for (std::size_t c = 0; c < clients; ++c) {
+    if (kMasked && entry[c] == 0.0) continue;
+    const double w = kMasked ? 1.0 : entry[c];
+    t_hi = std::max(t_hi, rho * prox_center[c] / w - multipliers[c] + 1.0);
+  }
 
-  ColumnSearch<kMasked> search(params, multipliers, mask, prox_center, rho);
-  // F' = 1 + φ''(s)·k/ρ, with φ''(s) = (φ'(s) − uα)(γ − 1)/s read off
-  // φ'(s) = u(α + βγ·s^(γ−1)) instead of a second pow.
+  ColumnSearch<kMasked> search(params, multipliers, entry, prox_center, rho);
+  // F' = 1 + φ''(s)·k/ρ (k = active weight), with φ''(s) =
+  // (φ'(s) − uα)(γ − 1)/s read off φ'(s) = u(α + βγ·s^(γ−1)) instead of a
+  // second pow.
   const auto stationarity = [&](const Sample& x) {
     const double phi_prime = replica_cost_derivative(params, x.load);
     double curvature = 0.0;
     if (x.load > 0.0)
       curvature = std::max(0.0, phi_prime - params.price * params.alpha) *
                   (params.gamma - 1.0) / x.load;
-    return Point{x.t - phi_prime,
-                 1.0 + curvature * (static_cast<double>(x.active) / rho)};
+    return Point{x.t - phi_prime, 1.0 + curvature * (x.active / rho)};
   };
   Bracket stationarity_bracket;
   const double t_star = search.solve(stationarity, stationarity_bracket,
@@ -205,8 +210,7 @@ SubproblemInfo solve_subproblem_impl(const ReplicaParams& params,
     // in t, so G is nondecreasing; G' = k/ρ).  Every sweep so far narrowed
     // G's bracket, so Newton starts from the largest swept t with G ≤ 0.
     const auto capacity = [&](const Sample& x) {
-      return Point{params.bandwidth - x.load,
-                   static_cast<double>(x.active) / rho};
+      return Point{params.bandwidth - x.load, x.active / rho};
     };
     const double t_cap = search.solve(capacity, search.capacity(),
                                       search.capacity().below, t_lo, t_hi);
@@ -230,12 +234,12 @@ SubproblemInfo solve_replica_subproblem_into(
                                      rho, allocation);
 }
 
-SubproblemInfo solve_replica_subproblem_into(
+SubproblemInfo solve_weighted_subproblem_into(
     const ReplicaParams& params, std::span<const double> multipliers,
-    std::span<const double> prox_center, double rho,
-    std::vector<double>& allocation) {
-  return solve_subproblem_impl<false>(params, multipliers, {}, prox_center,
-                                      rho, allocation);
+    std::span<const double> weights, std::span<const double> prox_center,
+    double rho, std::vector<double>& allocation) {
+  return solve_subproblem_impl<false>(params, multipliers, weights,
+                                      prox_center, rho, allocation);
 }
 
 }  // namespace edr::optim

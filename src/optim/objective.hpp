@@ -15,9 +15,11 @@
 // The KKT system reduces to a monotone scalar equation in
 // t = φ'(s) + λ (φ = price-weighted energy, λ = capacity multiplier):
 //   q_c(t) = max(0, q̂_c − (μ_c + t)/ρ),   s(t) = Σ_c q_c(t)
-// with s(t) nonincreasing in t.  The root of F(t) = t − φ'(s(t)) (and, when
-// the capacity binds, of G(t) = B − s(t)) is the one a bisection to
-// 1e-13 would return, found in two steps:
+// with s(t) nonincreasing in t (the weighted form below scales each step
+// by its entry's weight w_c > 0, which keeps every term monotone).  The
+// root of F(t) = t − φ'(s(t)) (and, when the capacity binds, of
+// G(t) = B − s(t)) is the one a bisection to 1e-13 would return, found in
+// two steps:
 //   1. bracket: safeguarded Newton narrows the root to a bracket far
 //      tighter than the bisection's last interval (a few O(C) load sweeps);
 //   2. replay: the bisection's midpoint sequence is replayed against that
@@ -59,13 +61,19 @@ SubproblemInfo solve_replica_subproblem_into(
     std::span<const double> mask, std::span<const double> prox_center,
     double rho, std::vector<double>& allocation);
 
-/// Maskless compact form for the sparse solve paths: the inputs are already
-/// restricted to the replica's feasible clients, so every coordinate is
-/// active.  Same search, same bits as the masked form evaluated on the
-/// feasible subsequence.
-SubproblemInfo solve_replica_subproblem_into(
+/// Maskless weighted form for the compact solve paths: the inputs are
+/// already restricted to the replica's feasible clients, so every coordinate
+/// is active, and entry c stands for weights[c] > 0 interchangeable clients
+/// (an aggregated client class; 1 for a single client).  Its prox term is
+/// (ρ/2)·(q_c − q̂_c)²/w_c, the sum of its members' terms when the class
+/// mass is spread evenly over them, so
+///   q_c(t) = max(0, q̂_c − w_c·(μ_c + t)/ρ),   ds/dt = −Σ_{q_c>0} w_c/ρ,
+/// and every q_c clamps to 0 once t ≥ ρ·q̂_c/w_c − μ_c.  With all weights
+/// 1 it runs the same search to the same bits as the masked form evaluated
+/// on the feasible subsequence (multiplying or dividing by 1.0 is exact).
+SubproblemInfo solve_weighted_subproblem_into(
     const ReplicaParams& params, std::span<const double> multipliers,
-    std::span<const double> prox_center, double rho,
-    std::vector<double>& allocation);
+    std::span<const double> weights, std::span<const double> prox_center,
+    double rho, std::vector<double>& allocation);
 
 }  // namespace edr::optim

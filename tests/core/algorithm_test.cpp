@@ -5,11 +5,15 @@
 // one-shot backends must honor their rotation state.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/builtin_algorithms.hpp"
 #include "core/lddm.hpp"
+#include "optim/instance.hpp"
 #include "optim/problem.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace edr::core {
 namespace {
@@ -161,6 +165,73 @@ TEST(RoundRobinAlgorithm, RotationCursorCarriesAcrossEpochs) {
   EXPECT_EQ(first_hit[0], 0u);
   EXPECT_EQ(first_hit[1], 1u);
   EXPECT_EQ(first_hit[2], 2u);
+}
+
+TEST(AlgorithmObserve, RoundMessagesMatchThePlannedReportsInEveryStorage) {
+  // A geo-local epoch (each client reaches 2 of 6 replicas, 6 client
+  // classes), so dense, sparse and aggregated storage plan 240, 80 and 12
+  // replica->client reports per round.  The flight recorder's per-replica
+  // messages_sent must add up to what plan_round schedules.
+  Rng rng{23};
+  optim::GeoInstanceOptions geo;
+  geo.num_clients = 40;
+  geo.num_replicas = 6;
+  geo.window = 2;
+  const optim::Problem problem = optim::make_geo_instance(rng, geo);
+  std::vector<std::size_t> active_replicas(geo.num_replicas);
+  std::iota(active_replicas.begin(), active_replicas.end(), 0);
+  std::vector<std::uint32_t> active_clients(geo.num_clients);
+  std::iota(active_clients.begin(), active_clients.end(), 0u);
+  const std::vector<PendingRequest> requests;
+  const std::vector<bool> alive(geo.num_replicas, true);
+  const auto telemetry = telemetry::make_telemetry();
+  telemetry->enable_flight_recorder();
+  EpochContext ctx;
+  ctx.problem = &problem;
+  ctx.active_replicas = &active_replicas;
+  ctx.active_clients = &active_clients;
+  ctx.requests = &requests;
+  ctx.replica_alive = &alive;
+  ctx.num_replicas = geo.num_replicas;
+  ctx.num_clients = geo.num_clients;
+  ctx.num_solvers = geo.num_replicas;
+  ctx.telemetry = telemetry.get();
+
+  for (const SolverRepresentation representation :
+       {SolverRepresentation::kDense, SolverRepresentation::kSparse,
+        SolverRepresentation::kAggregated}) {
+    LddmOptions lddm_options;
+    lddm_options.representation = representation;
+    AdmmOptions admm_options;
+    admm_options.representation = representation;
+    LddmAlgorithm lddm(lddm_options, /*warm_start=*/false);
+    AdmmAlgorithm admm(admm_options, /*warm_start=*/false);
+    for (DistributedAlgorithm* algorithm :
+         {static_cast<DistributedAlgorithm*>(&lddm),
+          static_cast<DistributedAlgorithm*>(&admm)}) {
+      algorithm->begin_epoch(ctx);
+      std::vector<PlannedMessage> planned;
+      algorithm->plan_round(ctx, planned);
+      (void)algorithm->step_round(ctx);
+      std::vector<telemetry::RoundSample> samples;
+      algorithm->observe(ctx, samples);
+      algorithm->abort_epoch();
+
+      std::uint64_t reports = 0;
+      for (const PlannedMessage& message : planned)
+        if (message.from_kind == Endpoint::kSolver &&
+            message.to_kind == Endpoint::kClient)
+          ++reports;
+      std::uint64_t recorded = 0;
+      for (const telemetry::RoundSample& sample : samples)
+        recorded += sample.messages_sent;
+      ASSERT_EQ(samples.size(), geo.num_replicas)
+          << algorithm->name() << " under " << to_string(representation);
+      EXPECT_GT(reports, 0u);
+      EXPECT_EQ(recorded, reports)
+          << algorithm->name() << " under " << to_string(representation);
+    }
+  }
 }
 
 }  // namespace

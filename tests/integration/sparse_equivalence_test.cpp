@@ -12,6 +12,8 @@
 //    solver tolerance;
 //  * the engines head-to-head on one Problem, same rounds, with feasible
 //    solutions and near-identical objectives;
+//  * class-weighted aggregated LDDM against dense LDDM on classes of
+//    equal-demand clients: the same per-round column sums up to rounding;
 //  * a 10^5-client geo-local instance solving within a single-digit-seconds
 //    wall budget — the scale the dense path cannot touch — whose exact
 //    optimum is the same on the class graph as on the full client graph.
@@ -106,10 +108,11 @@ TEST(SparseEquivalence, EnginesNearCentralizedOptimumUnderEveryStorage) {
   ASSERT_GT(optimum, 0.0);
 
   // kSparse runs the same iteration on compact storage, so it must track
-  // the dense objective tightly at equal rounds.  kAggregated follows a
-  // different (smaller) trajectory — it usually converges CLOSER to the
-  // optimum at equal rounds — so it is only required to be feasible, no
-  // worse than the dense iterate (plus slack), and never below the true
+  // the dense objective tightly at equal rounds.  kAggregated's class-
+  // weighted iteration follows the dense trajectory only where each class
+  // holds equal-demand clients (pinned round by round further down); here
+  // demands differ within a class, so it is only required to be feasible,
+  // no worse than the dense iterate (plus slack), and never below the true
   // optimum.  How fast either engine approaches the optimum is convergence
   // behavior, not representation equivalence, and is not pinned here.
   const auto check = [&](const char* name, auto&& make_solution) {
@@ -153,6 +156,96 @@ TEST(SparseEquivalence, EnginesNearCentralizedOptimumUnderEveryStorage) {
       engine.run();
       return engine.solution();
     });
+  }
+}
+
+/// Each replica's raw LDDM column sum after every round, tolerance 0 so no
+/// round stops early.
+std::vector<std::vector<double>> lddm_column_sums(
+    const optim::Problem& problem, core::SolverRepresentation representation,
+    std::size_t rounds) {
+  core::LddmOptions options;
+  options.mu_step_factor = 3.0;
+  options.tolerance = 0.0;
+  options.max_rounds = rounds;
+  options.representation = representation;
+  core::LddmEngine engine{problem, options};
+  std::vector<std::vector<double>> sums;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    (void)engine.round();
+    std::vector<double>& row = sums.emplace_back();
+    for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
+      double sum = 0.0;
+      for (const double q : engine.column(n)) sum += q;
+      row.push_back(sum);
+    }
+  }
+  return sums;
+}
+
+/// `problem` with every client's demand replaced by `class_demand` of its
+/// client class, so each class holds equal-demand clients.
+optim::Problem with_class_demands(const optim::Problem& problem,
+                                  const std::vector<double>& class_demand) {
+  const auto agg = core::build_client_aggregation(problem);
+  std::vector<Megabytes> demands(problem.num_clients());
+  Matrix latency(problem.num_clients(), problem.num_replicas());
+  for (std::size_t c = 0; c < problem.num_clients(); ++c) {
+    demands[c] = class_demand[agg.class_of[c] % class_demand.size()];
+    for (std::size_t n = 0; n < problem.num_replicas(); ++n)
+      latency(c, n) = problem.latency(c, n);
+  }
+  return optim::Problem(std::move(demands), problem.replicas(),
+                        std::move(latency), problem.max_latency());
+}
+
+TEST(SparseEquivalence,
+     AggregatedLddmFollowsDenseColumnSumsOnEqualDemandClasses) {
+  // Weighted by class size, the aggregated iteration takes the steps the
+  // dense one takes on the class's members: a class of m equal-demand
+  // clients moves m times one member's mass.  So, round by round, every
+  // replica's column sum must match the dense one up to rounding.
+  constexpr std::size_t kRounds = 60;
+  const auto check = [&](const char* name, const optim::Problem& problem) {
+    const auto agg = core::build_client_aggregation(problem);
+    ASSERT_LT(agg.num_classes(), problem.num_clients()) << name;
+    const auto dense = lddm_column_sums(
+        problem, core::SolverRepresentation::kDense, kRounds);
+    const auto aggregated = lddm_column_sums(
+        problem, core::SolverRepresentation::kAggregated, kRounds);
+    for (std::size_t r = 0; r < kRounds; ++r)
+      for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
+        const double d = dense[r][n];
+        const double a = aggregated[r][n];
+        EXPECT_LE(std::abs(a - d), 1e-9 * std::abs(d))
+            << name << ": round " << r + 1 << ", replica " << n << ": dense "
+            << d << ", aggregated " << a;
+      }
+  };
+
+  {
+    // One class: every client reaches every replica.  The cheapest
+    // replica's cap binds, so the capacity search runs too.
+    std::vector<optim::ReplicaParams> replicas(4);
+    const double prices[] = {1.0, 8.0, 2.0, 5.0};
+    for (std::size_t n = 0; n < replicas.size(); ++n)
+      replicas[n].price = prices[n];
+    replicas[0].bandwidth = 40.0;
+    const optim::Problem problem(std::vector<Megabytes>(24, 10.0),
+                                 std::move(replicas), Matrix(24, 4, 0.2),
+                                 1.8);
+    check("single class", problem);
+  }
+  {
+    // Geo-local: each client reaches 2 of 6 replicas, one class per window
+    // start, each class with its own per-client demand.
+    Rng rng{29};
+    optim::GeoInstanceOptions geo;
+    geo.num_clients = 120;
+    geo.num_replicas = 6;
+    geo.window = 2;
+    check("geo", with_class_demands(optim::make_geo_instance(rng, geo),
+                                    {4.0, 6.0, 8.0, 10.0, 12.0, 14.0}));
   }
 }
 

@@ -178,12 +178,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SubproblemRandomTest,
 // ---------------------------------------------------------------------------
 // Bit-for-bit reference: the plain bisection the solver used to run, walk-
 // down included, with a count of its load sweeps.  The bracket-and-replay
-// search must return exactly its bits.
+// search must return exactly its bits.  `weights` (empty = all 1, the
+// unweighted bisection) scales entry c's step to w_c·(μ_c + t)/ρ and its
+// clamp point to ρ·q̂_c/w_c − μ_c, as the weighted form documents.
 
 Solved reference_subproblem(const ReplicaParams& params,
                             std::span<const double> multipliers,
                             std::span<const double> mask,
-                            std::span<const double> prox_center, double rho) {
+                            std::span<const double> prox_center, double rho,
+                            std::span<const double> weights = {}) {
   const std::size_t clients = multipliers.size();
   Solved result;
   std::size_t& sweeps = result.info.sweeps;
@@ -193,13 +196,17 @@ Solved reference_subproblem(const ReplicaParams& params,
   auto phi_prime = [&](double s) {
     return replica_cost_derivative(params, s);
   };
+  auto weight = [&](std::size_t c) {
+    return weights.empty() ? 1.0 : weights[c];
+  };
   auto load_at = [&](double t, std::vector<double>* out = nullptr) {
     ++sweeps;
     double total = 0.0;
     for (std::size_t c = 0; c < clients; ++c) {
       double q = 0.0;
       if (mask[c] != 0.0)
-        q = std::max(0.0, prox_center[c] - (multipliers[c] + t) / rho);
+        q = std::max(0.0,
+                     prox_center[c] - weight(c) * (multipliers[c] + t) / rho);
       if (out) (*out)[c] = q;
       total += q;
     }
@@ -209,7 +216,8 @@ Solved reference_subproblem(const ReplicaParams& params,
   double t_hi = phi_prime(0.0) + 1.0;
   for (std::size_t c = 0; c < clients; ++c)
     if (mask[c] != 0.0)
-      t_hi = std::max(t_hi, rho * prox_center[c] - multipliers[c] + 1.0);
+      t_hi = std::max(t_hi,
+                      rho * prox_center[c] / weight(c) - multipliers[c] + 1.0);
   double t_lo = phi_prime(0.0);
   for (int i = 0; i < 200; ++i) {
     const double s = load_at(t_lo);
@@ -345,9 +353,10 @@ TEST(SubproblemSearch, CompactFormMatchesMaskedFormOnFeasibleEntries) {
       prox.push_back(in.prox[c]);
       feasible.push_back(masked.allocation[c]);
     }
+    const std::vector<double> ones(mu.size(), 1.0);
     std::vector<double> compact;
-    const SubproblemInfo info =
-        solve_replica_subproblem_into(in.params, mu, prox, in.rho, compact);
+    const SubproblemInfo info = solve_weighted_subproblem_into(
+        in.params, mu, ones, prox, in.rho, compact);
     ASSERT_TRUE(same_bits(compact, feasible)) << "instance " << i;
     ASSERT_TRUE(same_bits(info.load, masked.info.load)) << "instance " << i;
     ASSERT_TRUE(same_bits(info.capacity_multiplier,
@@ -355,6 +364,47 @@ TEST(SubproblemSearch, CompactFormMatchesMaskedFormOnFeasibleEntries) {
         << "instance " << i;
     EXPECT_EQ(info.sweeps, masked.info.sweeps) << "instance " << i;
   }
+}
+
+TEST(SubproblemSearch, WeightedFormReproducesWeightedBisectionBitForBit) {
+  // The compact form with per-entry weights against the reference
+  // bisection run with the same weights, on the feasible subsequence of the
+  // seeded corpus.  Weights span singleton entries to 10^5-client classes.
+  static constexpr double kWeights[] = {1.0, 2.0, 37.0, 1e5};
+  constexpr std::size_t kInstances = 20000;
+  Rng rng{1618};
+  std::size_t sweeps = 0, binding = 0, slack = 0;
+  for (std::size_t i = 0; i < kInstances; ++i) {
+    const Instance in = draw_instance(rng, i);
+    std::vector<double> mu, prox, weights;
+    for (std::size_t c = 0; c < in.mu.size(); ++c) {
+      if (in.mask[c] == 0.0) continue;
+      mu.push_back(in.mu[c]);
+      prox.push_back(in.prox[c]);
+      weights.push_back(kWeights[rng.uniform_int(0, 3)]);
+    }
+    const std::vector<double> ones(mu.size(), 1.0);
+    const Solved want =
+        reference_subproblem(in.params, mu, ones, prox, in.rho, weights);
+    std::vector<double> got;
+    const SubproblemInfo info = solve_weighted_subproblem_into(
+        in.params, mu, weights, prox, in.rho, got);
+    ASSERT_TRUE(same_bits(got, want.allocation)) << "instance " << i;
+    ASSERT_TRUE(same_bits(info.load, want.info.load)) << "instance " << i;
+    ASSERT_TRUE(same_bits(info.capacity_multiplier,
+                          want.info.capacity_multiplier))
+        << "instance " << i;
+    sweeps += info.sweeps;
+    if (want.info.capacity_multiplier > 0.0)
+      ++binding;
+    else
+      ++slack;
+  }
+  const double mean = static_cast<double>(sweeps) / kInstances;
+  RecordProperty("mean_sweeps", std::to_string(mean));
+  EXPECT_LE(mean, 12.0);
+  EXPECT_GT(binding, kInstances / 10);
+  EXPECT_GT(slack, kInstances / 10);
 }
 
 }  // namespace
