@@ -169,14 +169,16 @@ build/tests/test_integration --gtest_filter='SparseScale.*' \
 echo "sparse smoke: 10^5-client geo instance solved inside the wall budget"
 
 echo
-echo "== perfbench correctness smoke (sim_agg_100k + replay, live_dense_1k) =="
+echo "== perfbench correctness smoke (sim_agg_100k + replay, sim_dense_1k, live_dense_1k) =="
 # The end-to-end benchmark's correctness checks, not its timings (nothing
 # here compares a timing against a bound). perfbench exits 3 when a check
 # fails: served + dropped must cover the trace, repeated runs must agree,
 # live replica digests must agree and allocations stay feasible, and with
 # --trace 1 the per-layer replay must solve the same rounds as the
-# end-to-end run. The first run builds perfbench/ into .bench_build/.
-for spec in "sim_agg_100k 1" "live_dense_1k 0"; do
+# end-to-end run. sim_dense_1k is the heaviest event load (~250k simulator
+# events per epoch), so it is the one that drives the event core hardest.
+# The first run builds perfbench/ into .bench_build/.
+for spec in "sim_agg_100k 1" "sim_dense_1k 0" "live_dense_1k 0"; do
   read -r workload trace <<< "$spec"
   if ! python3 perfbench/run.py --workload "$workload" --seed 1 \
       --seconds 3 --trace "$trace" > "$smoke_dir/perf_$workload.txt"; then
